@@ -47,9 +47,12 @@ void worker(SetAdapter& set, const RunConfig& cfg, int tid,
   while (!go.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  // relaxed: stop polling; one late iteration is harmless and the join
-  // below synchronizes the final counts.
-  while (!stop.load(std::memory_order_relaxed)) {
+  // Every worker completes at least one measured operation before it
+  // honours stop: under an oversubscribed host a short window can end
+  // before a worker is first scheduled, which would report a zero-op run
+  // (throughput 0) instead of a slow one.  The driver's clock runs until
+  // the join, so the extra operation is inside the measured time.
+  do {
     const auto op = stream.next_op();
     const bool sample = --sample_countdown == 0;
     Clock::time_point t0;
@@ -109,7 +112,9 @@ void worker(SetAdapter& set, const RunConfig& cfg, int tid,
       sample_countdown = 32;
     }
     ++tt.ops;
-  }
+    // relaxed: stop polling; one late iteration is harmless and the join
+    // below synchronizes the final counts.
+  } while (!stop.load(std::memory_order_relaxed));
   out = tt;
 }
 

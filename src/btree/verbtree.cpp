@@ -7,6 +7,46 @@
 
 namespace cbat {
 
+namespace {
+
+// relaxed: payload words (keys, counts) are ordered by the node seqlock —
+// readers validate() behind an acquire fence, writers store only after
+// try_lock()'s release fence and publish with unlock()'s release — so the
+// individual accesses need atomicity, not ordering.
+template <class T>
+T ld(const std::atomic<T>& a) {
+  return a.load(std::memory_order_relaxed);
+}
+template <class T>
+void st(std::atomic<T>& a, T v) {
+  // relaxed: as for ld() above.
+  a.store(v, std::memory_order_relaxed);
+}
+
+// Child pointers: acquire loads and release stores, so a reader that loads
+// a pointer sees the child's initialization (see verbtree.h).
+template <class T>
+T* child_ld(const std::atomic<T*>& a) {
+  return a.load(std::memory_order_acquire);
+}
+template <class T>
+void child_st(std::atomic<T*>& a, T* p) {
+  a.store(p, std::memory_order_release);
+}
+
+// Copies n payload words or child pointers from src to dst; the caller
+// holds the locks (or sole ownership) of both nodes.
+template <class T>
+void copy_words(const std::atomic<T>* src, int n, std::atomic<T>* dst) {
+  for (int i = 0; i < n; ++i) st(dst[i], ld(src[i]));
+}
+template <class T>
+void copy_children(const std::atomic<T*>* src, int n, std::atomic<T*>* dst) {
+  for (int i = 0; i < n; ++i) child_st(dst[i], child_ld(src[i]));
+}
+
+}  // namespace
+
 VerBTree::VerBTree() {
   head_leaf_ = new Leaf;
   root_.store(head_leaf_, std::memory_order_release);
@@ -38,11 +78,24 @@ std::uint64_t VerBTree::stable_version(const NodeBase* n) {
   return v;
 }
 
+bool VerBTree::validate(const NodeBase* n, std::uint64_t v) {
+  // Orders the caller's relaxed payload loads before the re-check.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  // relaxed: the fence above provides the ordering; any later write
+  // changes the word and fails the compare.
+  return n->version.load(std::memory_order_relaxed) == v;
+}
+
 bool VerBTree::try_lock(NodeBase* n, std::uint64_t expected) {
   if (is_locked(expected)) return false;
-  return n->version.compare_exchange_strong(expected, expected + 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire);
+  if (!n->version.compare_exchange_strong(expected, expected + 1,
+                                          std::memory_order_acquire)) {
+    return false;
+  }
+  // Orders the lock holder's relaxed payload stores after the claim, so a
+  // reader that sees one of them also sees the odd version.
+  std::atomic_thread_fence(std::memory_order_release);
+  return true;
 }
 
 void VerBTree::unlock(NodeBase* n) {
@@ -51,14 +104,17 @@ void VerBTree::unlock(NodeBase* n) {
 
 int VerBTree::child_index(const Inner* n, Key k) {
   // children[i] covers keys < keys[i]; the last child covers the rest.
+  // Acquire: every child slot up to the count is initialized (verbtree.h).
+  const int count = n->count.load(std::memory_order_acquire);
   int i = 0;
-  while (i < n->count && k >= n->keys[i]) ++i;
+  while (i < count && k >= ld(n->keys[i])) ++i;
   return i;
 }
 
 int VerBTree::leaf_lower_bound(const Leaf* n, Key k) {
+  const int count = ld(n->count);
   int i = 0;
-  while (i < n->count && n->keys[i] < k) ++i;
+  while (i < count && ld(n->keys[i]) < k) ++i;
   return i;
 }
 
@@ -71,74 +127,84 @@ void VerBTree::grow_root(NodeBase* old_root) {
     auto* l = static_cast<Leaf*>(old_root);
     auto* r = new Leaf;
     track(r);
-    const int half = l->count / 2;
-    r->count = l->count - half;
-    std::copy(l->keys + half, l->keys + l->count, r->keys);
-    l->count = half;
+    const int count = ld(l->count);
+    const int half = count / 2;
+    copy_words(l->keys + half, count - half, r->keys);
+    st(r->count, count - half);
+    st(l->count, half);
     r->next.store(l->next.load(std::memory_order_acquire),
                   std::memory_order_release);
     l->next.store(r, std::memory_order_release);
-    new_root->count = 1;
-    new_root->keys[0] = r->keys[0];
-    new_root->children[0] = l;
-    new_root->children[1] = r;
+    st(new_root->count, 1);
+    st(new_root->keys[0], ld(r->keys[0]));
+    child_st<NodeBase>(new_root->children[0], l);
+    child_st<NodeBase>(new_root->children[1], r);
   } else {
     auto* n = static_cast<Inner*>(old_root);
     auto* r = new Inner;
     track(r);
-    const int mid = n->count / 2;  // separator key moves up
-    const Key sep = n->keys[mid];
-    r->count = n->count - mid - 1;
-    std::copy(n->keys + mid + 1, n->keys + n->count, r->keys);
-    std::copy(n->children + mid + 1, n->children + n->count + 1, r->children);
-    n->count = mid;
-    new_root->count = 1;
-    new_root->keys[0] = sep;
-    new_root->children[0] = n;
-    new_root->children[1] = r;
+    const int count = ld(n->count);
+    const int mid = count / 2;  // separator key moves up
+    const Key sep = ld(n->keys[mid]);
+    copy_words(n->keys + mid + 1, count - mid - 1, r->keys);
+    copy_children(n->children + mid + 1, count - mid, r->children);
+    st(r->count, count - mid - 1);
+    st(n->count, mid);
+    st(new_root->count, 1);
+    st(new_root->keys[0], sep);
+    child_st<NodeBase>(new_root->children[0], n);
+    child_st<NodeBase>(new_root->children[1], r);
   }
   root_.store(new_root, std::memory_order_release);
+}
+
+// Inserts separator `sep` and right child `r` into `parent` at child_slot.
+// Caller holds parent's write lock; parent is not full.  The count grows
+// last, with a release store, after the children it covers (verbtree.h).
+void VerBTree::insert_separator(Inner* parent, int child_slot, Key sep,
+                                NodeBase* r) {
+  const int count = ld(parent->count);
+  for (int i = count; i > child_slot; --i) {
+    st(parent->keys[i], ld(parent->keys[i - 1]));
+    child_st(parent->children[i + 1], child_ld(parent->children[i]));
+  }
+  st(parent->keys[child_slot], sep);
+  child_st(parent->children[child_slot + 1], r);
+  parent->count.store(count + 1, std::memory_order_release);
 }
 
 void VerBTree::split_inner(Inner* parent, int child_slot, Inner* child) {
   // Caller holds write locks on parent and child; parent is not full.
   auto* r = new Inner;
   track(r);
-  const int mid = child->count / 2;
-  const Key sep = child->keys[mid];
-  r->count = child->count - mid - 1;
-  std::copy(child->keys + mid + 1, child->keys + child->count, r->keys);
-  std::copy(child->children + mid + 1, child->children + child->count + 1,
-            r->children);
-  child->count = mid;
-  // Insert separator + new child into the parent at child_slot.
-  for (int i = parent->count; i > child_slot; --i) {
-    parent->keys[i] = parent->keys[i - 1];
-    parent->children[i + 1] = parent->children[i];
-  }
-  parent->keys[child_slot] = sep;
-  parent->children[child_slot + 1] = r;
-  ++parent->count;
+  const int count = ld(child->count);
+  const int mid = count / 2;
+  const Key sep = ld(child->keys[mid]);
+  copy_words(child->keys + mid + 1, count - mid - 1, r->keys);
+  copy_children(child->children + mid + 1, count - mid, r->children);
+  st(r->count, count - mid - 1);
+  st(child->count, mid);
+  insert_separator(parent, child_slot, sep, r);
 }
 
 void VerBTree::split_leaf(Inner* parent, int child_slot, Leaf* child) {
   // Caller holds write locks on parent and child; parent is not full.
   auto* r = new Leaf;
   track(r);
-  const int half = child->count / 2;
-  r->count = child->count - half;
-  std::copy(child->keys + half, child->keys + child->count, r->keys);
-  child->count = half;
+  const int count = ld(child->count);
+  const int half = count / 2;
+  copy_words(child->keys + half, count - half, r->keys);
+  st(r->count, count - half);
+  st(child->count, half);
   r->next.store(child->next.load(std::memory_order_acquire),
                 std::memory_order_release);
   child->next.store(r, std::memory_order_release);
-  for (int i = parent->count; i > child_slot; --i) {
-    parent->keys[i] = parent->keys[i - 1];
-    parent->children[i + 1] = parent->children[i];
-  }
-  parent->keys[child_slot] = r->keys[0];
-  parent->children[child_slot + 1] = r;
-  ++parent->count;
+  insert_separator(parent, child_slot, ld(r->keys[0]), r);
+}
+
+bool VerBTree::is_full(const NodeBase* n) {
+  return n->leaf ? ld(static_cast<const Leaf*>(n)->count) == kLeafCap
+                 : ld(static_cast<const Inner*>(n)->count) == kFanout;
 }
 
 bool VerBTree::insert(Key k) {
@@ -150,36 +216,25 @@ restart:
   if (n != root_.load(std::memory_order_acquire)) goto restart;
 
   // Root full?  Grow the tree by one level (rare).
-  {
-    const bool root_full = n->leaf
-                               ? static_cast<Leaf*>(n)->count == kLeafCap
-                               : static_cast<Inner*>(n)->count == kFanout;
-    if (root_full) {
-      std::lock_guard<std::mutex> g(root_mu_);
-      if (root_.load(std::memory_order_acquire) == n && try_lock(n, v)) {
-        grow_root(n);
-        unlock(n);
-      }
-      bo.pause();
-      goto restart;
+  if (is_full(n)) {
+    std::lock_guard<std::mutex> g(root_mu_);
+    if (root_.load(std::memory_order_acquire) == n && try_lock(n, v)) {
+      grow_root(n);
+      unlock(n);
     }
+    bo.pause();
+    goto restart;
   }
 
   {
-    Inner* parent = nullptr;
-    std::uint64_t vparent = 0;
-    int slot = 0;
     while (!n->leaf) {
       auto* inner = static_cast<Inner*>(n);
       const int i = child_index(inner, k);
-      NodeBase* child = inner->children[i];
+      NodeBase* child = child_ld(inner->children[i]);
       const std::uint64_t vc = stable_version(child);
-      if (n->version.load(std::memory_order_acquire) != v) goto restart;
+      if (!validate(n, v)) goto restart;
       // Proactively split full children so leaf splits never cascade.
-      const bool child_full =
-          child->leaf ? static_cast<Leaf*>(child)->count == kLeafCap
-                      : static_cast<Inner*>(child)->count == kFanout;
-      if (child_full) {
+      if (is_full(child)) {
         if (!try_lock(n, v)) {
           bo.pause();
           goto restart;
@@ -198,22 +253,16 @@ restart:
         unlock(n);
         goto restart;
       }
-      parent = inner;
-      vparent = v;
-      slot = i;
       n = child;
       v = vc;
     }
-    (void)parent;
-    (void)vparent;
-    (void)slot;
 
     auto* leaf = static_cast<Leaf*>(n);
     // Leaf is not full (proactive splitting and the root check guarantee it).
     const int pos = leaf_lower_bound(leaf, k);
-    if (pos < leaf->count && leaf->keys[pos] == k) {
+    if (pos < ld(leaf->count) && ld(leaf->keys[pos]) == k) {
       // Validate the read before declaring "already present".
-      if (n->version.load(std::memory_order_acquire) != v) goto restart;
+      if (!validate(n, v)) goto restart;
       return false;
     }
     if (!try_lock(n, v)) {
@@ -224,13 +273,16 @@ restart:
     // the optimistic read and the upgrade only if version changed, in which
     // case try_lock failed; still, recompute for clarity).
     const int p2 = leaf_lower_bound(leaf, k);
-    if (p2 < leaf->count && leaf->keys[p2] == k) {
+    const int count = ld(leaf->count);
+    if (p2 < count && ld(leaf->keys[p2]) == k) {
       unlock(n);
       return false;
     }
-    for (int i = leaf->count; i > p2; --i) leaf->keys[i] = leaf->keys[i - 1];
-    leaf->keys[p2] = k;
-    ++leaf->count;
+    for (int i = count; i > p2; --i) {
+      st(leaf->keys[i], ld(leaf->keys[i - 1]));
+    }
+    st(leaf->keys[p2], k);
+    st(leaf->count, count + 1);
     unlock(n);
     return true;
   }
@@ -245,16 +297,16 @@ restart:
   if (n != root_.load(std::memory_order_acquire)) goto restart;
   while (!n->leaf) {
     auto* inner = static_cast<Inner*>(n);
-    NodeBase* child = inner->children[child_index(inner, k)];
+    NodeBase* child = child_ld(inner->children[child_index(inner, k)]);
     const std::uint64_t vc = stable_version(child);
-    if (n->version.load(std::memory_order_acquire) != v) goto restart;
+    if (!validate(n, v)) goto restart;
     n = child;
     v = vc;
   }
   auto* leaf = static_cast<Leaf*>(n);
   const int pos = leaf_lower_bound(leaf, k);
-  if (pos >= leaf->count || leaf->keys[pos] != k) {
-    if (n->version.load(std::memory_order_acquire) != v) goto restart;
+  if (pos >= ld(leaf->count) || ld(leaf->keys[pos]) != k) {
+    if (!validate(n, v)) goto restart;
     return false;
   }
   if (!try_lock(n, v)) {
@@ -262,12 +314,15 @@ restart:
     goto restart;
   }
   const int p2 = leaf_lower_bound(leaf, k);
-  if (p2 >= leaf->count || leaf->keys[p2] != k) {
+  const int count = ld(leaf->count);
+  if (p2 >= count || ld(leaf->keys[p2]) != k) {
     unlock(n);
     return false;
   }
-  for (int i = p2; i + 1 < leaf->count; ++i) leaf->keys[i] = leaf->keys[i + 1];
-  --leaf->count;
+  for (int i = p2; i + 1 < count; ++i) {
+    st(leaf->keys[i], ld(leaf->keys[i + 1]));
+  }
+  st(leaf->count, count - 1);
   unlock(n);
   return true;
 }
@@ -275,29 +330,14 @@ restart:
 bool VerBTree::contains(Key k) const {
   assert(k <= kMaxUserKey);
   Backoff bo;
-restart:
-  NodeBase* n = root_.load(std::memory_order_acquire);
-  std::uint64_t v = stable_version(n);
-  if (n != root_.load(std::memory_order_acquire)) goto restart;
-  while (!n->leaf) {
-    auto* inner = static_cast<Inner*>(n);
-    NodeBase* child = inner->children[child_index(inner, k)];
-    const std::uint64_t vc = stable_version(child);
-    if (n->version.load(std::memory_order_acquire) != v) {
-      bo.pause();
-      goto restart;
-    }
-    n = child;
-    v = vc;
-  }
-  auto* leaf = static_cast<const Leaf*>(n);
-  const int pos = leaf_lower_bound(leaf, k);
-  const bool found = pos < leaf->count && leaf->keys[pos] == k;
-  if (n->version.load(std::memory_order_acquire) != v) {
+  std::uint64_t v;
+  while (true) {
+    const Leaf* leaf = locate_leaf(k, &v);
+    const int pos = leaf_lower_bound(leaf, k);
+    const bool found = pos < ld(leaf->count) && ld(leaf->keys[pos]) == k;
+    if (validate(leaf, v)) return found;
     bo.pause();
-    goto restart;
   }
-  return found;
 }
 
 const VerBTree::Leaf* VerBTree::locate_leaf(Key k,
@@ -309,9 +349,9 @@ restart:
   if (n != root_.load(std::memory_order_acquire)) goto restart;
   while (!n->leaf) {
     auto* inner = static_cast<Inner*>(n);
-    NodeBase* child = inner->children[child_index(inner, k)];
+    NodeBase* child = child_ld(inner->children[child_index(inner, k)]);
     const std::uint64_t vc = stable_version(child);
-    if (n->version.load(std::memory_order_acquire) != v) {
+    if (!validate(n, v)) {
       bo.pause();
       goto restart;
     }
@@ -322,44 +362,45 @@ restart:
   return static_cast<const Leaf*>(n);
 }
 
-std::int64_t VerBTree::range_count(Key lo, Key hi) const {
-  if (lo > hi) return 0;
-  std::uint64_t v;
-  const Leaf* leaf = locate_leaf(lo, &v);
-  std::int64_t total = 0;
+int VerBTree::read_leaf(const Leaf* leaf, std::uint64_t* v, Key* keys,
+                        const Leaf** next) {
   Backoff bo;
-  while (leaf != nullptr) {
-    // Seqlock-validated per-leaf read.
-    std::int64_t c = 0;
-    bool done = false;
+  while (true) {
+    *next = leaf->next.load(std::memory_order_acquire);
+    const int count = std::min(ld(leaf->count), kLeafCap);
+    for (int i = 0; i < count; ++i) keys[i] = ld(leaf->keys[i]);
+    if (!is_locked(*v) && validate(leaf, *v)) return count;
+    bo.pause();
+    *v = stable_version(leaf);
+  }
+}
+
+template <class Visit>
+void VerBTree::scan(Key from, Visit&& visit) const {
+  std::uint64_t v;
+  const Leaf* leaf = locate_leaf(from, &v);
+  Key keys[kLeafCap];
+  while (true) {
     const Leaf* next;
-    while (true) {
-      c = 0;
-      next = leaf->next.load(std::memory_order_acquire);
-      int count = leaf->count;
-      if (count > kLeafCap) count = kLeafCap;  // torn read; will re-validate
-      bool past_hi = false;
-      for (int i = 0; i < count; ++i) {
-        const Key key = leaf->keys[i];
-        if (key > hi) {
-          past_hi = true;
-          break;
-        }
-        if (key >= lo) ++c;
-      }
-      if (leaf->version.load(std::memory_order_acquire) == v &&
-          !is_locked(v)) {
-        done = past_hi;
-        break;
-      }
-      bo.pause();
-      v = stable_version(leaf);
+    const int count = read_leaf(leaf, &v, keys, &next);
+    if (!visit(static_cast<const Key*>(keys), count) || next == nullptr) {
+      return;
     }
-    total += c;
-    if (done || next == nullptr) break;
     leaf = next;
     v = stable_version(leaf);
   }
+}
+
+std::int64_t VerBTree::range_count(Key lo, Key hi) const {
+  if (lo > hi) return 0;
+  std::int64_t total = 0;
+  scan(lo, [&](const Key* keys, int count) {
+    for (int i = 0; i < count; ++i) {
+      if (keys[i] > hi) return false;
+      if (keys[i] >= lo) ++total;
+    }
+    return true;
+  });
   return total;
 }
 
@@ -367,44 +408,14 @@ std::vector<Key> VerBTree::range_collect(Key lo, Key hi,
                                          std::size_t limit) const {
   std::vector<Key> out;
   if (lo > hi) return out;
-  std::uint64_t v;
-  const Leaf* leaf = locate_leaf(lo, &v);
-  Backoff bo;
-  while (leaf != nullptr) {
-    std::vector<Key> chunk;
-    bool done = false;
-    const Leaf* next;
-    while (true) {
-      chunk.clear();
-      next = leaf->next.load(std::memory_order_acquire);
-      int count = leaf->count;
-      if (count > kLeafCap) count = kLeafCap;
-      bool past_hi = false;
-      for (int i = 0; i < count; ++i) {
-        const Key key = leaf->keys[i];
-        if (key > hi) {
-          past_hi = true;
-          break;
-        }
-        if (key >= lo) chunk.push_back(key);
-      }
-      if (leaf->version.load(std::memory_order_acquire) == v &&
-          !is_locked(v)) {
-        done = past_hi;
-        break;
-      }
-      bo.pause();
-      v = stable_version(leaf);
+  scan(lo, [&](const Key* keys, int count) {
+    for (int i = 0; i < count; ++i) {
+      if (keys[i] > hi) return false;
+      if (keys[i] >= lo) out.push_back(keys[i]);
+      if (limit > 0 && out.size() >= limit) return false;
     }
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    if (limit > 0 && out.size() >= limit) {
-      out.resize(limit);
-      break;
-    }
-    if (done || next == nullptr) break;
-    leaf = next;
-    v = stable_version(leaf);
-  }
+    return true;
+  });
   return out;
 }
 
@@ -420,40 +431,24 @@ std::int64_t VerBTree::size() const {
 
 std::optional<Key> VerBTree::select(std::int64_t i) const {
   if (i < 1) return std::nullopt;
-  std::uint64_t v;
-  const Leaf* leaf = locate_leaf(std::numeric_limits<Key>::min(), &v);
+  std::optional<Key> found;
   std::int64_t seen = 0;
-  Backoff bo;
-  while (leaf != nullptr) {
-    Key keys[kLeafCap];
-    int count;
-    const Leaf* next;
-    while (true) {
-      next = leaf->next.load(std::memory_order_acquire);
-      count = leaf->count;
-      if (count > kLeafCap) count = kLeafCap;
-      std::copy(leaf->keys, leaf->keys + count, keys);
-      if (leaf->version.load(std::memory_order_acquire) == v &&
-          !is_locked(v)) {
-        break;
-      }
-      bo.pause();
-      v = stable_version(leaf);
+  scan(std::numeric_limits<Key>::min(), [&](const Key* keys, int count) {
+    if (seen + count >= i) {
+      found = keys[i - seen - 1];
+      return false;
     }
-    if (seen + count >= i) return keys[i - seen - 1];
     seen += count;
-    if (next == nullptr) break;
-    leaf = next;
-    v = stable_version(leaf);
-  }
-  return std::nullopt;
+    return true;
+  });
+  return found;
 }
 
 int VerBTree::height_slow() const {
   int h = 0;
   const NodeBase* n = root_.load(std::memory_order_acquire);
   while (!n->leaf) {
-    n = static_cast<const Inner*>(n)->children[0];
+    n = child_ld(static_cast<const Inner*>(n)->children[0]);
     ++h;
   }
   return h;

@@ -57,17 +57,26 @@ class VerBTree {
     explicit NodeBase(bool is_leaf) : leaf(is_leaf) {}
   };
 
+  // Node payloads are read optimistically, racing with the writer that
+  // holds the node's lock, and validated afterwards (util/seqlock.h's
+  // discipline), so every payload word is an atomic.  Keys and counts use
+  // relaxed accesses ordered by the seqlock fences; a child pointer is
+  // published with a release store (a split fills the new node first) and
+  // a count grows with a release store after the children it covers, so a
+  // reader that acquires either sees initialized nodes only.
   struct Inner : NodeBase {
     Inner() : NodeBase(false) {}
-    int count = 0;  // number of separator keys; count+1 children
-    Key keys[kFanout];
-    NodeBase* children[kFanout + 1] = {};
+    // shared: payload words share the version word's line, see NodeBase.
+    std::atomic<int> count{0};  // number of separator keys; count+1 children
+    std::atomic<Key> keys[kFanout];
+    std::atomic<NodeBase*> children[kFanout + 1] = {};
   };
 
   struct Leaf : NodeBase {
     Leaf() : NodeBase(true) {}
-    int count = 0;
-    Key keys[kLeafCap];
+    // shared: payload words share the version word's line, see NodeBase.
+    std::atomic<int> count{0};
+    std::atomic<Key> keys[kLeafCap];
     // shared: per-leaf link, same tradeoff as the version word above.
     std::atomic<Leaf*> next{nullptr};
   };
@@ -75,12 +84,17 @@ class VerBTree {
   // --- seqlock helpers ----------------------------------------------------
   static bool is_locked(std::uint64_t v) { return v & 1; }
   static std::uint64_t stable_version(const NodeBase* n);  // spins past locks
+  // True iff n is still at version v: an optimistic read of n's payload
+  // since v was observed saw no writer.
+  static bool validate(const NodeBase* n, std::uint64_t v);
   static bool try_lock(NodeBase* n, std::uint64_t expected);
   static void unlock(NodeBase* n);
 
   static int child_index(const Inner* n, Key k);
   static int leaf_lower_bound(const Leaf* n, Key k);
+  static bool is_full(const NodeBase* n);
 
+  void insert_separator(Inner* parent, int child_slot, Key sep, NodeBase* r);
   void split_inner(Inner* parent, int child_slot, Inner* child);
   void split_leaf(Inner* parent, int child_slot, Leaf* child);
   void grow_root(NodeBase* old_root);
@@ -88,6 +102,15 @@ class VerBTree {
   // Locates the leaf whose range covers k and returns it with a validated
   // version; retries internally on conflicts.
   const Leaf* locate_leaf(Key k, std::uint64_t* leaf_version) const;
+
+  // Copies one leaf's keys into keys[] under seqlock validation, retrying
+  // past writers (re-reading *v); returns the count and sets *next.
+  static int read_leaf(const Leaf* leaf, std::uint64_t* v, Key* keys,
+                       const Leaf** next);
+  // Walks the leaf chain from the leaf covering `from`, one validated leaf
+  // at a time; visit(keys, count) returns false to stop.
+  template <class Visit>
+  void scan(Key from, Visit&& visit) const;
 
   // shared: read-mostly root pointer; replaced only under root_mu_.
   std::atomic<NodeBase*> root_;

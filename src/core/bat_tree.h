@@ -29,6 +29,7 @@
 #include "util/counters.h"
 #include "util/fault.h"
 #include "util/flat_set.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -527,6 +528,7 @@ class BatTree {
 
     bool first_descent = true;
     bool delegated = false;
+    prefetch_version_words(root);
     while (true) {
       // Walk down from the top of the stack until the child on k's search
       // path has already been refreshed or is a leaf (Fig. 3 lines 37-41).
@@ -535,9 +537,11 @@ class BatTree {
         next = next->child[dir_of(k, next)].load(std::memory_order_acquire);
         if (s.refreshed.contains(next) || next->is_leaf()) break;
         s.stack.push_back(next);
+        if (first_descent) prefetch_version_words(next);
         Counters::bump(first_descent ? Counter::kSearchPathNodes
                                      : Counter::kPropagateExtraNodes);
       }
+      if (first_descent) prefetch_refresh_inputs(s);
       first_descent = false;
       Node* top = s.stack.back();
       s.stack.pop_back();
@@ -572,6 +576,43 @@ class BatTree {
     // version tree; older snapshots are protected by their epochs.
     for (V* v : s.to_retire) pool_retire(v);
     (void)delegated;
+  }
+
+  // Memory profile of the refresh sweep.  Each refresh reads x's version
+  // word, each child's version word, each child's Version, and allocates a
+  // pool slot; done one refresh at a time, every one of those is a cache
+  // miss that waits for the one before it.  The first descent walks the
+  // path the chromatic update just searched, so its nodes' first lines are
+  // cached and every address below is known before the first refresh:
+  // these hints start the misses of the whole sweep together.  They never
+  // change what the sweep reads.
+  static void prefetch_version_words(const Node* x) {
+    prefetch_span(&x->version, sizeof(x->version));
+    // x is internal, so both children are non-null.
+    for (const auto& c : x->child) {
+      // relaxed: the pointer only names a prefetch address; the refresh
+      // that dereferences it reloads it with acquire.
+      const Node* cn = c.load(std::memory_order_relaxed);
+      prefetch_span(&cn->version, sizeof(cn->version));
+    }
+  }
+
+  // After the first descent: the Versions the sweep will combine, and the
+  // pool slots its new Versions will occupy (one per stacked node, plus
+  // slack for a retried refresh).
+  static void prefetch_refresh_inputs(const Scratch& s)
+      CBAT_REQUIRES(ebr_capability) {
+    for (const Node* x : s.stack) {
+      for (const auto& c : x->child) {
+        const Node* cn = c.load(std::memory_order_acquire);
+        // relaxed: as above, a prefetch address that is never dereferenced
+        // here; refresh() rereads the version word with acquire.
+        const V* v = static_cast<const V*>(
+            cn->version.load(std::memory_order_relaxed));
+        if (v != nullptr) prefetch_span(&v->aug, sizeof(v->aug));
+      }
+    }
+    Pool<V>::prefetch(s.stack.size() + 2);
   }
 
   // Merged Propagate over a batch of strictly-increasing keys: refreshes

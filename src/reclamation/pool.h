@@ -15,6 +15,7 @@
 // placement-new without running destructors).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -24,6 +25,7 @@
 #include "reclamation/ebr.h"
 #include "util/backoff.h"
 #include "util/fault.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -76,6 +78,21 @@ class Pool {
       ::operator delete(p);
     }
   }
+
+  // Hint: prefetches for writing the next `n` slots alloc() will return
+  // (every cache line each spans), so a caller that knows how many objects
+  // it is about to build pays those misses together instead of one per
+  // alloc().  Never allocates and never changes the free list.
+  static void prefetch(std::size_t n) {
+    const auto& slots = free_list().slots;
+    const std::size_t m = std::min(n, slots.size());
+    for (std::size_t i = slots.size() - m; i < slots.size(); ++i) {
+      prefetch_span<true>(slots[i], sizeof(T));
+    }
+  }
+
+  // The calling thread's free-list length (for tests).
+  static std::size_t free_count() { return free_list().slots.size(); }
 
   // Warm-up hook: pre-faults the calling thread's free list up to `n`
   // objects (capped at the recycling limit) so a fresh worker thread's

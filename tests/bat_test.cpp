@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/bat_tree.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
@@ -180,6 +181,40 @@ TEST(Bat, GenericAugmentationMinMax) {
                                      kMaxUserKey);
   EXPECT_EQ(all.min, 10);
   EXPECT_EQ(all.max, 90);
+}
+
+// Propagate's first descent is the path the update just searched, and
+// single-threaded no refresh ever loses its CAS, so every update refreshes
+// exactly the internal nodes of k's search path once: no re-descent, no
+// extra nodes.  The refresh sweep's prefetches ride on this descent.
+template <class T>
+void expect_propagate_walks_search_path() {
+  T t;
+  Xoshiro256 rng(13);
+  for (int i = 0; i < 10000; ++i) {
+    const Key k = static_cast<Key>(rng.below(1u << 16));
+    const auto before = Counters::snapshot();
+    if (rng.below(2) == 0) {
+      t.insert(k);
+    } else {
+      t.erase(k);
+    }
+    const auto after = Counters::snapshot();
+    const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    ASSERT_EQ(delta(Counter::kPropagateNodes),
+              static_cast<std::uint64_t>(t.node_tree().search(k).depth))
+        << "update " << i << " key " << k;
+    ASSERT_EQ(delta(Counter::kPropagateExtraNodes), 0u);
+    ASSERT_EQ(delta(Counter::kRefreshCasFail), 0u);
+  }
+}
+
+TEST(Bat, PropagateWalksExactlyTheSearchPath) {
+  expect_propagate_walks_search_path<Tree>();
+}
+
+TEST(Bat, EagerDelPropagateWalksExactlyTheSearchPath) {
+  expect_propagate_walks_search_path<BatEagerDel<SizeAug>>();
 }
 
 // --- concurrency -----------------------------------------------------------
