@@ -3,9 +3,10 @@
 // An update first runs the chromatic-tree routine (CTInsert/CTDelete, with
 // the Version Initialization Rules of Definition 1 applied to every node it
 // allocates), then calls Propagate to carry the update's effect on the
-// supplementary fields up to the root.  Queries read Root.version once and
-// run sequential algorithms on the resulting immutable snapshot
-// (version_queries.h).
+// supplementary fields up to the root; an unsuccessful update skips
+// Propagate when Root.version already shows its outcome.  Queries read
+// Root.version once and run sequential algorithms on the resulting
+// immutable snapshot (version_queries.h).
 //
 // Three variants, selected by the Delegation template parameter:
 //   kNone     — plain BAT (paper Fig. 3): double refresh per node.
@@ -118,14 +119,14 @@ class BatTree {
   bool insert(Key k) {
     EbrGuard g;
     const bool result = tree_.insert(k);
-    propagate(k);  // even unsuccessful updates must propagate (§4)
+    if (result || !linearize_unchanged(k, /*present=*/true)) propagate(k);
     return result;
   }
 
   bool erase(Key k) {
     EbrGuard g;
     const bool result = tree_.erase(k);
-    propagate(k);
+    if (result || !linearize_unchanged(k, /*present=*/false)) propagate(k);
     return result;
   }
 
@@ -495,6 +496,19 @@ class BatTree {
       r.blocker = static_cast<V*>(expected)->status;
       return r;
     }
+  }
+
+  // Linearizes an unsuccessful update at a read of Root.version that
+  // shows its outcome (root_shows_unchanged): no refresh, CAS, allocation
+  // or retire.  With an epoch source attached, that root's stamp is
+  // finalized first, as Propagate's tail does, so no snapshot acquired
+  // after the response can cut before it.  Returns false when the root
+  // disagrees; the caller then propagates the arrival its search saw.
+  bool linearize_unchanged(Key k, bool present) CBAT_REQUIRES(ebr_capability) {
+    const V* r = root_shows_unchanged<Aug>(tree_.root(), k, present);
+    if (r == nullptr) return false;
+    if (epoch_source_ != nullptr) stamp_epoch(r);
+    return true;
   }
 
   // --- Propagate (Fig. 3 / Fig. 13 / Fig. 14) ----------------------------

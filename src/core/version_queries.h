@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/version.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -202,6 +203,52 @@ std::optional<Key> version_select_in_range(const Version<Aug>* root, Key lo,
   const std::int64_t inside = version_rank<Aug>(root, hi) - before;
   if (i > inside) return std::nullopt;
   return version_select<Aug>(root, before + i);
+}
+
+// --- unsuccessful updates ---------------------------------------------------
+
+// An unsuccessful update changes no node, so it may linearize at any read
+// of Root.version, inside its interval, whose snapshot shows the outcome it
+// reports: k present after a failed insert, absent after a failed erase.
+// Reads the root's version once and returns it if it shows that outcome,
+// else null; the caller then propagates as a successful update would, to
+// make the arrival its search observed visible at the root.
+//
+// `root` is the root of a leaf-oriented node tree whose nodes carry
+// `key`, `child[2]` and `version` (BAT's and FR-BST's).  The snapshot walk
+// is ~20 dependent misses on a tree larger than the last-level cache, so
+// it is fed first: the caller's search just loaded k's node path, so
+// re-walking it is cheap and names every path node's version word, then
+// every Version those words point to.  A quiet snapshot's search path is
+// made of exactly those Versions, so their misses overlap instead of
+// queueing behind one another.  The hints never change what the walk
+// reads; the feed covers the top kFeedDepth levels of a deeper tree.
+template <Augmentation Aug, class NodeT>
+const Version<Aug>* root_shows_unchanged(const NodeT* root, Key k,
+                                         bool present)
+    CBAT_REQUIRES(ebr_capability) {
+  constexpr int kFeedDepth = 64;
+  const NodeT* path[kFeedDepth];
+  int n = 0;
+  for (const NodeT* x = root;;) {
+    prefetch_span(&x->version, sizeof(x->version));
+    path[n++] = x;
+    if (n == kFeedDepth || x->is_leaf()) break;
+    x = x->child[k < x->key ? 0 : 1].load(std::memory_order_acquire);
+  }
+  for (int i = 0; i < n; ++i) {
+    // relaxed: the pointer only names a prefetch address; the snapshot
+    // walk below reaches every Version it reads from the acquire load.
+    const auto* v = static_cast<const Version<Aug>*>(
+        path[i]->version.load(std::memory_order_relaxed));
+    if (v == nullptr) continue;
+    // The walk reads left, right and key; right lies between the two.
+    prefetch_span(&v->left, sizeof(v->left));
+    prefetch_span(&v->key, sizeof(v->key));
+  }
+  const auto* r = static_cast<const Version<Aug>*>(
+      root->version.load(std::memory_order_acquire));
+  return version_contains<Aug>(r, k) == present ? r : nullptr;
 }
 
 // --- validation helpers (used by tests) ------------------------------------

@@ -121,7 +121,11 @@ class FrBst {
     assert(k <= kMaxUserKey);
     EbrGuard g;
     const bool result = do_insert(k);
-    propagate(k);
+    // Same rule as BatTree: an unsuccessful update linearizes at a root
+    // read that shows its outcome, and propagates only otherwise.
+    if (result || root_shows_unchanged<Aug>(root_, k, true) == nullptr) {
+      propagate(k);
+    }
     return result;
   }
 
@@ -129,7 +133,9 @@ class FrBst {
     assert(k <= kMaxUserKey);
     EbrGuard g;
     const bool result = do_erase(k);
-    propagate(k);
+    if (result || root_shows_unchanged<Aug>(root_, k, false) == nullptr) {
+      propagate(k);
+    }
     return result;
   }
 

@@ -183,30 +183,48 @@ TEST(Bat, GenericAugmentationMinMax) {
   EXPECT_EQ(all.max, 90);
 }
 
-// Propagate's first descent is the path the update just searched, and
-// single-threaded no refresh ever loses its CAS, so every update refreshes
-// exactly the internal nodes of k's search path once: no re-descent, no
-// extra nodes.  The refresh sweep's prefetches ride on this descent.
+// A successful update's Propagate first descends the path the update just
+// searched, and single-threaded no refresh ever loses its CAS, so it
+// refreshes exactly the internal nodes of k's search path once: no
+// re-descent, no extra nodes.  The refresh sweep's prefetches ride on this
+// descent.  Single-threaded, an unsuccessful update always finds its
+// outcome at the root, so it runs no Propagate and leaves Root.version
+// untouched.
 template <class T>
 void expect_propagate_walks_search_path() {
   T t;
   Xoshiro256 rng(13);
+  int failed = 0;
   for (int i = 0; i < 10000; ++i) {
     const Key k = static_cast<Key>(rng.below(1u << 16));
     const auto before = Counters::snapshot();
-    if (rng.below(2) == 0) {
-      t.insert(k);
-    } else {
-      t.erase(k);
+    const typename T::V* root_before = nullptr;
+    {
+      EbrGuard g;
+      root_before = t.root_version_unsafe();
     }
+    const bool changed = rng.below(2) == 0 ? t.insert(k) : t.erase(k);
     const auto after = Counters::snapshot();
     const auto delta = [&](Counter c) { return after[c] - before[c]; };
-    ASSERT_EQ(delta(Counter::kPropagateNodes),
-              static_cast<std::uint64_t>(t.node_tree().search(k).depth))
-        << "update " << i << " key " << k;
-    ASSERT_EQ(delta(Counter::kPropagateExtraNodes), 0u);
-    ASSERT_EQ(delta(Counter::kRefreshCasFail), 0u);
+    if (changed) {
+      ASSERT_EQ(delta(Counter::kPropagateNodes),
+                static_cast<std::uint64_t>(t.node_tree().search(k).depth))
+          << "update " << i << " key " << k;
+      ASSERT_EQ(delta(Counter::kPropagateExtraNodes), 0u);
+      ASSERT_EQ(delta(Counter::kRefreshCasFail), 0u);
+      continue;
+    }
+    ++failed;
+    ASSERT_EQ(delta(Counter::kPropagateCalls), 0u)
+        << "unsuccessful update " << i << " key " << k;
+    ASSERT_EQ(delta(Counter::kPropagateNodes), 0u);
+    ASSERT_EQ(delta(Counter::kRefreshCas), 0u);
+    EbrGuard g;
+    ASSERT_EQ(t.root_version_unsafe(), root_before);
   }
+  // Both outcomes were exercised (~half the updates fail on this mix).
+  EXPECT_GT(failed, 2000);
+  EXPECT_LT(failed, 8000);
 }
 
 TEST(Bat, PropagateWalksExactlyTheSearchPath) {

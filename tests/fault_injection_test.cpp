@@ -26,6 +26,7 @@
 #include "core/bat_tree.h"
 #include "core/version_queries.h"
 #include "reclamation/ebr.h"
+#include "same_key_race.h"
 #include "shard/sharded_set.h"
 #include "util/counters.h"
 #include "util/fault.h"
@@ -39,6 +40,9 @@ using CS = CombinedSet<Bat<SizeAug>>;
 // the leased read-wait site, and the aggregate-cache seqlock fills.
 using SH = ShardedSet<CombinedSet<Bat<SizeAug>>, 4, SnapshotPolicy::kQuiescent,
                       ReadPath::kCombined, true>;
+// The direct update path: BatTree::insert/erase with no combining layer,
+// where an unsuccessful update may linearize at a root read.
+using BE = BatEagerDel<SizeAug>;
 
 constexpr Key kKeySpace = 1 << 14;
 
@@ -69,6 +73,11 @@ Key op_key(std::uint64_t h, int threads, int t) {
 }
 
 void validate_versions(CS& s) {
+  EbrGuard g;
+  EXPECT_TRUE(version_tree_valid<SizeAug>(
+      s.root_version_unsafe(), std::numeric_limits<Key>::min(), kInf2));
+}
+void validate_versions(BE& s) {
   EbrGuard g;
   EXPECT_TRUE(version_tree_valid<SizeAug>(
       s.root_version_unsafe(), std::numeric_limits<Key>::min(), kInf2));
@@ -286,6 +295,99 @@ TEST(FaultInjection, PerSiteFailuresShardedSet) {
   // actually have fired — and every run above still ended oracle-equal.
   EXPECT_GT(after[Counter::kShardMigrationAborts],
             before[Counter::kShardMigrationAborts]);
+}
+
+// --- same-key races on the direct update path ------------------------------
+
+// Unsuccessful updates that still ran Propagate (their root check
+// disagreed), summed over every race below.
+std::uint64_t g_race_fallbacks = 0;
+std::uint64_t g_race_unsuccessful = 0;
+
+// Every thread applies the same seeded update to the same key, phase by
+// phase (tests/same_key_race.h), while the plan perturbs the winner's
+// refreshes.  The outcome is interleaving-free: each phase changes the set
+// iff the sequential oracle says so, through exactly one thread, and every
+// loser observes the state it reported.
+void chaos_race(const FaultPlan& plan, int threads) {
+  BE t;
+  std::set<Key> oracle;
+  for (Key k = 0; k < kKeySpace; k += 4) {  // depth for the Propagates
+    t.insert(k);
+    oracle.insert(k);
+  }
+  std::vector<RacePhase> phases;
+  std::vector<int> want_wins;
+  std::uint64_t h = plan.seed;
+  for (int i = 0; i < 400; ++i) {
+    h = wmix(h);
+    // A few dozen hot keys, half of them prefilled, so phases alternate
+    // between effective and ineffective updates on both sides.
+    const Key k = static_cast<Key>((h >> 8) % 64) * (kKeySpace / 64) +
+                  static_cast<Key>((h >> 20) & 1);
+    const bool is_insert = (h & 1) != 0;
+    phases.push_back({k, is_insert});
+    want_wins.push_back(is_insert ? (oracle.insert(k).second ? 1 : 0)
+                                  : static_cast<int>(oracle.erase(k)));
+  }
+
+  const auto before = Counters::snapshot();
+  fault_arm(plan);
+  const auto observes = [&t](Key k, bool present) {
+    return t.contains(k) == present;
+  };
+  const RaceResult r = race_same_keys(t, threads, phases, observes);
+  fault_disarm();
+  const auto after = Counters::snapshot();
+
+  ++g_plans_run;
+  for (const std::string& site : fault_sites_seen()) g_sites_union.insert(site);
+
+  std::uint64_t successes = 0;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    ASSERT_EQ(r.wins[i], want_wins[i]) << "phase " << i;
+    successes += static_cast<std::uint64_t>(r.wins[i]);
+  }
+  ASSERT_EQ(r.bad_observations, 0);
+  const std::uint64_t props =
+      after[Counter::kPropagateCalls] - before[Counter::kPropagateCalls];
+  ASSERT_GE(props, successes);
+  g_race_fallbacks += props - successes;
+  g_race_unsuccessful += static_cast<std::uint64_t>(r.failed_updates);
+
+  ASSERT_EQ(t.size(), static_cast<std::int64_t>(oracle.size()));
+  for (Key k : oracle) ASSERT_TRUE(t.contains(k)) << "lost key " << k;
+  for (const RacePhase& p : phases) {
+    ASSERT_EQ(t.contains(p.key), oracle.count(p.key) != 0) << p.key;
+  }
+  const Key mid = *std::next(oracle.begin(), oracle.size() / 2);
+  const std::int64_t want =
+      static_cast<std::int64_t>(std::distance(
+          oracle.begin(), oracle.upper_bound(mid)));
+  ASSERT_EQ(t.rank(mid), want);
+  validate_versions(t);
+}
+
+TEST(FaultInjection, SameKeyRacesBatEagerDel) {
+  for (std::uint64_t seed : kSeeds) {
+    FaultPlan slow_refresh;  // stretch the winner's Propagate
+    slow_refresh.seed = seed;
+    slow_refresh.yield_permil = 200;
+    slow_refresh.delay_permil = 200;
+    slow_refresh.only_site = "bat.refresh_build";
+    const FaultPlan mixed = all_sites_plan(seed, 100, 60, 40);
+    for (const FaultPlan& plan : {slow_refresh, mixed}) {
+      chaos_race(plan, /*threads=*/2);
+      chaos_race(plan, oversubscribed_threads());
+    }
+  }
+  Ebr::drain();
+  // Coverage floor: the perturbed Propagates must leave losers racing
+  // ahead of the root, or the fallback branch went untested.
+  std::printf("same-key chaos: %llu unsuccessful updates, %llu fell back\n",
+              static_cast<unsigned long long>(g_race_unsuccessful),
+              static_cast<unsigned long long>(g_race_fallbacks));
+  EXPECT_GE(g_race_fallbacks * 20, g_race_unsuccessful);  // >= 5%
 }
 
 // Runs last (gtest preserves definition order within a file): audits the

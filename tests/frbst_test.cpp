@@ -7,12 +7,15 @@
 #include <vector>
 
 #include "frbst/frbst.h"
+#include "same_key_race.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
 namespace {
 
 using Tree = FrBst<SizeAug>;
+using V = Version<SizeAug>;
 
 TEST(FrBst, EmptyTree) {
   Tree t;
@@ -64,6 +67,40 @@ TEST(FrBst, MatchesStdSetSequential) {
   EXPECT_TRUE(version_tree_valid<SizeAug>(t.root_version_unsafe(),
                                           std::numeric_limits<Key>::min(),
                                           kInf2));
+}
+
+// Same update contract as BAT: an unsuccessful update whose outcome the
+// root already shows runs no Propagate and leaves Root.version untouched;
+// a successful one propagates once.  The sorted prefix makes the tree
+// deeper than the root check's prefetch feed.
+TEST(FrBst, UnsuccessfulUpdatesSkipPropagate) {
+  Tree t;
+  for (Key k = 0; k < 200; ++k) ASSERT_TRUE(t.insert(k));
+  Xoshiro256 rng(8);
+  int failed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const Key k = static_cast<Key>(rng.below(400));
+    const auto before = Counters::snapshot();
+    const V* root_before;
+    {
+      EbrGuard g;
+      root_before = t.root_version_unsafe();
+    }
+    const bool changed = rng.below(2) == 0 ? t.insert(k) : t.erase(k);
+    const auto after = Counters::snapshot();
+    const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    if (changed) {
+      ASSERT_EQ(delta(Counter::kPropagateCalls), 1u) << "update " << i;
+      continue;
+    }
+    ++failed;
+    ASSERT_EQ(delta(Counter::kPropagateCalls), 0u) << "update " << i;
+    ASSERT_EQ(delta(Counter::kPropagateNodes), 0u);
+    ASSERT_EQ(delta(Counter::kRefreshCas), 0u);
+    EbrGuard g;
+    ASSERT_EQ(t.root_version_unsafe(), root_before);
+  }
+  EXPECT_GT(failed, 1000);
 }
 
 TEST(FrBst, OrderStatisticsMatchBat) {
@@ -156,6 +193,27 @@ TEST(FrBstConcurrent, MixedWorkloadQuiescentConsistency) {
   EXPECT_TRUE(version_tree_valid<SizeAug>(t.root_version_unsafe(),
                                           std::numeric_limits<Key>::min(),
                                           kInf2));
+}
+
+// Two threads race insert(k), then erase(k); each loser must see the
+// state it reported (tests/same_key_race.h).
+TEST(FrBstConcurrent, SameKeyRaceLosersObserveTheirOutcome) {
+  Tree t;
+  for (Key k = 0; k < 4096; k += 2) t.insert(k);
+  std::vector<RacePhase> phases;
+  for (Key i = 0; i < 1000; ++i) {
+    const Key k = (i * 997) % 2048 * 2 + 1;
+    phases.push_back({k, true});
+    phases.push_back({k, false});
+  }
+  const RaceResult r = race_same_keys(t, 2, phases, [&](Key k, bool present) {
+    return t.contains(k) == present && t.size() == 2048 + (present ? 1 : 0);
+  });
+  for (std::size_t i = 0; i < r.wins.size(); ++i) {
+    ASSERT_EQ(r.wins[i], 1) << "phase " << i;
+  }
+  EXPECT_EQ(r.bad_observations, 0);
+  EXPECT_EQ(t.size(), 2048);
 }
 
 TEST(FrBstConcurrent, QueriesSeeConsistentSnapshots) {

@@ -31,7 +31,9 @@
 
 #include "combine/combined_set.h"
 #include "core/bat_tree.h"
+#include "same_key_race.h"
 #include "shard/sharded_set.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
@@ -795,6 +797,83 @@ TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
               fin[static_cast<std::size_t>(i)])
         << i;
   }
+}
+
+// --- unsuccessful updates linearize at a root read --------------------------
+
+// An unsuccessful update returns without Propagate only when Root.version
+// already shows its outcome; otherwise it propagates the arrival its
+// search observed.  Two threads race insert(k), then erase(k), over a key
+// set (tests/same_key_race.h), and every loser must observe the state it
+// reported through the structure's own queries.  With the root check
+// mutated to always agree, a loser whose search saw the winner's leaf
+// returns before the winner's Propagate reaches the root, and its check
+// fails.  Prints how often the fallback branch (a failed update that still
+// propagated) fired: Propagate calls minus successful updates.
+constexpr Key kRaceKeyspace = 1 << 14;
+constexpr int kRaceKeys = 1500;
+
+// Evens are prefilled so the race runs on a tree of realistic depth; the
+// raced keys are odd, spread over the keyspace.
+template <class Set>
+std::int64_t prefill_evens(Set& s) {
+  std::int64_t n = 0;
+  for (Key k = 0; k < kRaceKeyspace; k += 2) n += s.insert(k) ? 1 : 0;
+  return n;
+}
+
+std::vector<RacePhase> insert_then_erase_phases() {
+  std::vector<RacePhase> phases;
+  for (int i = 0; i < kRaceKeys; ++i) {
+    const Key k = static_cast<Key>((i * 7919) % (kRaceKeyspace / 2)) * 2 + 1;
+    phases.push_back({k, true});
+    phases.push_back({k, false});
+  }
+  return phases;
+}
+
+template <class Set, class Observes>
+void expect_losers_observe_their_outcome(Set& s, std::int64_t base,
+                                         Observes observes) {
+  const auto before = Counters::snapshot();
+  const RaceResult r =
+      race_same_keys(s, 2, insert_then_erase_phases(), observes);
+  const auto after = Counters::snapshot();
+  for (std::size_t i = 0; i < r.wins.size(); ++i) {
+    ASSERT_EQ(r.wins[i], 1) << "phase " << i;
+  }
+  const std::uint64_t successes = r.wins.size();
+  EXPECT_EQ(r.failed_updates, static_cast<int>(r.wins.size()));
+  EXPECT_EQ(r.bad_observations, 0);
+  const std::uint64_t props =
+      after[Counter::kPropagateCalls] - before[Counter::kPropagateCalls];
+  EXPECT_GE(props, successes);
+  const unsigned long long fallbacks = props - successes;
+  std::printf("same-key race: %d unsuccessful updates, %llu fell back\n",
+              r.failed_updates, fallbacks);
+  EXPECT_EQ(s.size(), base);
+}
+
+TEST(UnsuccessfulUpdates, SameKeyRaceLosersObserveTheirOutcome) {
+  BatEagerDel<SizeAug> t;
+  const std::int64_t base = prefill_evens(t);
+  expect_losers_observe_their_outcome(t, base, [&](Key k, bool present) {
+    const std::int64_t in = present ? 1 : 0;
+    return t.contains(k) == present && t.size() == base + in &&
+           t.rank(k) - t.rank(k - 1) == in;
+  });
+}
+
+TEST(UnsuccessfulUpdates, SameKeyRaceLosersSnapshotTheirOutcomeOnLinForest) {
+  using Lin16 = ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable>;
+  Lin16 f(kRaceKeyspace);
+  const std::int64_t base = prefill_evens(f);
+  expect_losers_observe_their_outcome(f, base, [&](Key k, bool present) {
+    const Lin16::Snapshot snap(f);
+    const std::int64_t in = present ? 1 : 0;
+    return snap.contains(k) == present && snap.size() == base + in &&
+           snap.rank(k) - snap.rank_less(k) == in;
+  });
 }
 
 }  // namespace
