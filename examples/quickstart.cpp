@@ -69,7 +69,7 @@ int main() {
   // turns on online hot-shard rebalancing; configure() returns false if
   // any engaged field could not be applied (e.g. the same options on a
   // non-adaptive structure).
-  auto forest = registry.create("Sharded16-Combined-BAT-Adapt");
+  auto forest = registry.create("Sharded16-BAT-Adapt");
   cbat::api::SetOptions opts;
   opts.key_range_hint = 1 << 20;
   opts.adaptive_rebalance = true;

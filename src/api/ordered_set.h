@@ -102,32 +102,21 @@ concept ConsistencyIntrospectable = requires {
 
 // One bag of tuning knobs for every structure, applied through
 // AbstractOrderedSet::configure.  Each field is optional; a disengaged
-// field means "leave that knob alone".  This replaces the accumulated
-// ad-hoc setters (set_key_range_hint on the abstract set plus the
-// process-wide set_combine_max_batch / set_delegation_timeout /
-// set_lease_reads / set_aggregate_cache free functions) as the single
-// front door the benchmark driver and the examples go through; the old
-// setters remain as thin deprecated wrappers so existing callers and
-// tests keep working.
+// field means "leave that knob alone".  This is the single front door the
+// benchmark driver and the examples go through.  Which layers a structure
+// carries (sharding, linearizable cuts, the aggregate cache, adaptive
+// rebalancing) is fixed by its type, not by a knob.
 //
-// Scope caveat, inherited from the knobs themselves: everything except
-// key_range_hint and the rebalancing fields is PROCESS-WIDE (the knobs
-// gate layers, not instances), so configure() on one structure adjusts
-// every structure sharing the process.  The benchmark harness already
-// relies on exactly that to toggle layers between series.
+// Scope caveat, inherited from the knobs themselves: delegation_timeout
+// and ebr_limbo_high_water are PROCESS-WIDE, so configure() on one
+// structure adjusts every structure sharing the process; the hint and the
+// rebalancing fields are per instance.
 struct SetOptions {
   // Advisory: keys will be drawn from [0, key_range_hint).  Per instance.
   std::optional<Key> key_range_hint;
-  // Max requests one flat-combining drain applies (<= 1 disables
-  // combining).  Process-wide.
-  std::optional<int> combine_max_batch;
-  // Spin budget (iterations) for delegation waits, combining publication
-  // waits, and read-lease waits; 0 means never wait.  Process-wide.
+  // Spin budget (iterations) for delegation waits; 0 means never wait.
+  // Process-wide.
   std::optional<std::uint64_t> delegation_timeout;
-  // Snapshot leasing for composite reads ("-RC" forests).  Process-wide.
-  std::optional<bool> lease_reads;
-  // Epoch-stamped per-shard aggregate caches.  Process-wide.
-  std::optional<bool> aggregate_cache;
   // EBR limbo-pressure guardrail: when a thread's unreclaimed limbo bags
   // hold at least this many objects, its next retire forces an epoch
   // advance + sweep and counts an ebr_pressure_events.  0 disables the
@@ -150,8 +139,6 @@ struct SetOptions {
 struct StructureInfo {
   bool ranked = false;          // order statistics (RankedSet)
   Consistency consistency = Consistency::kLinearizable;  // composite queries
-  bool combining = false;       // updates go through flat combining
-  bool read_combining = false;  // composite reads lease shared cuts
   bool adaptive = false;        // online hot-shard rebalancing
   int shards = 1;               // forest width (1 = single tree)
 };
@@ -163,9 +150,9 @@ struct StructureInfo {
 // operations and single-structure queries are linearizable; composite
 // queries give the guarantee reported by consistency().  All operations
 // are non-blocking toward *other* threads' progress except where a
-// concrete structure documents bounded waiting (the combining layer's
-// publication spin and delegation's WaitForDelegatee, both bounded by
-// set_delegation_timeout and falling back to solo execution).
+// concrete structure documents bounded waiting (delegation's
+// WaitForDelegatee, bounded by the delegation_timeout option and falling
+// back to a solo Propagate).
 class AbstractOrderedSet {
  public:
   virtual ~AbstractOrderedSet() = default;
@@ -195,10 +182,10 @@ class AbstractOrderedSet {
   }
 
   // Applies every engaged field of `o` that this structure (or the
-  // process-wide layer knobs) can honor; returns true iff ALL engaged
-  // fields were applied.  The base implementation (registry.cpp) handles
-  // the generic fields — key_range_hint via the virtual below, the four
-  // layer knobs via their process-wide slots — and reports false for the
+  // process-wide knobs) can honor; returns true iff ALL engaged fields
+  // were applied.  The base implementation (registry.cpp) handles the
+  // generic fields — key_range_hint via the virtual below, the two
+  // process-wide knobs via their slots — and reports false for the
   // rebalancing fields; SetModel overrides it to forward those to
   // structures that expose the matching setters.  This is the preferred
   // configuration front door; see SetOptions.
@@ -385,16 +372,6 @@ class StructureRegistry {
       e.info.consistency = T::composite_queries_linearizable()
                                ? Consistency::kLinearizable
                                : Consistency::kQuiescentlyConsistent;
-    }
-    if constexpr (requires {
-                    { T::combines_updates() } -> std::convertible_to<bool>;
-                  }) {
-      e.info.combining = T::combines_updates();
-    }
-    if constexpr (requires {
-                    { T::combines_reads() } -> std::convertible_to<bool>;
-                  }) {
-      e.info.read_combining = T::combines_reads();
     }
     if constexpr (requires {
                     { T::adaptive_rebalancing() } -> std::convertible_to<bool>;

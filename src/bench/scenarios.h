@@ -26,10 +26,10 @@ struct RunRecord {
   std::string x;        // x coordinate, as printed on the axis
   std::string series;   // structure / query kind / kernel name
   // How composite reads were answered in this run: "direct" (every query
-  // acquires its own snapshot), "leased" (queries share combiner-acquired
-  // epoch cuts, aggregate caches off), or "cached" (leased + epoch-stamped
-  // aggregate caches).  Emitted into the schema-1 JSON so baseline diffs
-  // can attribute read-side regressions to the right layer.
+  // acquires its own snapshot and recomputes every per-shard piece) or
+  // "cached" (its own snapshot, with boundary pieces served from the
+  // epoch-stamped aggregate cache).  Emitted into the schema-1 JSON so
+  // baseline diffs can attribute read-side regressions to the right layer.
   std::string read_path = "direct";
   bool has_result = false;
   RunResult result;

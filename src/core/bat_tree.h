@@ -36,9 +36,9 @@ namespace cbat {
 
 enum class Delegation { kNone, kDel, kEagerDel };
 
-// One request of a combined update batch (src/combine/).  `tag` is opaque
-// to the tree — the combining layer uses it to route results back to the
-// publication slots; the tree only fills `result`.
+// One request of a batched update (apply_batch).  `tag` is opaque to the
+// tree — callers may use it to match results to their own bookkeeping;
+// the tree only fills `result`.
 struct BatchOp {
   Key key;
   bool is_insert;
@@ -130,18 +130,18 @@ class BatTree {
     return result;
   }
 
-  // Bulk update path for the combining layer (src/combine/): applies every
-  // request under ONE EbrGuard, then runs ONE merged Propagate over the
-  // union of the search paths, so key-adjacent updates share their descent
-  // prefix and the whole batch pays a single top-level root refresh/CAS
-  // instead of one per update.  `ops` must be sorted by key (duplicates
-  // allowed; they are applied in the given order).  Fills op.result.
+  // Bulk update path (the shard layer's migration bulk-moves keys through
+  // it): applies every request under ONE EbrGuard, then runs ONE merged
+  // Propagate over the union of the search paths, so key-adjacent updates
+  // share their descent prefix and the whole batch pays a single top-level
+  // root refresh/CAS instead of one per update.  `ops` must be sorted by
+  // key (duplicates allowed; they are applied in the given order).  Fills
+  // op.result.
   //
   // Linearization: each request takes effect (becomes visible to
   // version-tree queries) no later than the batch's root refresh, which
-  // happens before the combiner reports any result — so every request
-  // linearizes between its publication and its response, exactly like a
-  // solo update.
+  // happens before apply_batch returns — so every request linearizes
+  // inside the call, exactly like a solo update.
   void apply_batch(BatchOp* ops, int n) {
     if (n <= 0) return;
     EbrGuard g;
@@ -335,7 +335,7 @@ class BatTree {
   // `unique_stamps` switches stamp finalization from a counter load to a
   // fetch_add (version_epoch_unique), guaranteeing no two root versions
   // ever share a stamp.  Forests that validate epoch-stamped aggregate
-  // caches by stamp comparison (ReadPath::kCombined; see
+  // caches by stamp comparison (ReadPath::kCached; see
   // src/shard/aggregate_cache.h) require it; everyone else keeps the
   // cheaper load-based stamps.  The mode must match the resolve walk the
   // snapshot layer uses (version_resolve_epoch vs ..._unique).
@@ -346,10 +346,7 @@ class BatTree {
   }
 
   // Spin budget a delegating Propagate waits before resuming on its own
-  // (making the scheme non-blocking, §5).  0 disables the timeout.  The
-  // combining layer (src/combine/) reuses the same budget for how long a
-  // waiter spins on its publication slot — there, 0 means "never wait"
-  // (every update runs solo), the combining analogue of non-blocking.
+  // (making the scheme non-blocking, §5).  0 disables the timeout.
   static void set_delegation_timeout(std::uint64_t spins) {
     delegation_timeout_spins_ = spins;
   }

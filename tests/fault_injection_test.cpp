@@ -22,7 +22,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "combine/combined_set.h"
 #include "core/bat_tree.h"
 #include "core/version_queries.h"
 #include "reclamation/ebr.h"
@@ -35,13 +34,15 @@
 namespace cbat {
 namespace {
 
-using CS = CombinedSet<Bat<SizeAug>>;
-// Adaptive AND read-combined: one structure reaches the migration sites,
-// the leased read-wait site, and the aggregate-cache seqlock fills.
-using SH = ShardedSet<CombinedSet<Bat<SizeAug>>, 4, SnapshotPolicy::kQuiescent,
-                      ReadPath::kCombined, true>;
-// The direct update path: BatTree::insert/erase with no combining layer,
-// where an unsuccessful update may linearize at a root read.
+// A single BAT: the update path's pool, Propagate and EBR sites.
+using BT = Bat<SizeAug>;
+// Adaptive AND aggregate-cached: one structure reaches the migration sites
+// (and apply_batch, which migration bulk-moves keys through) and the
+// aggregate-cache seqlock fills.
+using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
+                      ReadPath::kCached, true>;
+// BAT-EagerDel for the same-key races, where an unsuccessful update may
+// linearize at a root read.
 using BE = BatEagerDel<SizeAug>;
 
 constexpr Key kKeySpace = 1 << 14;
@@ -72,7 +73,7 @@ Key op_key(std::uint64_t h, int threads, int t) {
   return static_cast<Key>((h >> 16) % classes) * threads + t;
 }
 
-void validate_versions(CS& s) {
+void validate_versions(BT& s) {
   EbrGuard g;
   EXPECT_TRUE(version_tree_valid<SizeAug>(
       s.root_version_unsafe(), std::numeric_limits<Key>::min(), kInf2));
@@ -130,10 +131,10 @@ void chaos_run(Set& s, const FaultPlan& plan, int threads,
           s.erase(k);
         }
         if ((i & 15) == 0) {
-          // Composite reads ride the leased/combined read path; their
-          // answers are checked for sanity only — exact answers race with
-          // concurrent updates by design.  range_aggregate is what drives
-          // the aggregate-cache fills (the seqlock fault sites).
+          // Composite reads; their answers are checked for sanity only —
+          // exact answers race with concurrent updates by design.
+          // range_aggregate is what drives the aggregate-cache fills (the
+          // seqlock fault sites).
           EXPECT_GE(s.size(), 0);
           EXPECT_GE(s.rank(k), 0);
           EXPECT_GE(s.range_count(kKeySpace / 4, kKeySpace / 2), 0);
@@ -254,11 +255,11 @@ TEST(FaultInjection, ArmedDecisionSequencesAreDeterministic) {
   EXPECT_EQ(forced[0], forced[1]);
 }
 
-TEST(FaultInjection, AllSiteShapesCombinedSet) {
+TEST(FaultInjection, AllSiteShapesBat) {
   for (std::uint64_t seed : kSeeds) {
-    chaos_plan<CS>(all_sites_plan(seed, 250, 0, 0));    // yield-heavy
-    chaos_plan<CS>(all_sites_plan(seed, 0, 150, 0));    // delay-heavy
-    chaos_plan<CS>(all_sites_plan(seed, 100, 60, 40));  // mixed failures
+    chaos_plan<BT>(all_sites_plan(seed, 250, 0, 0));    // yield-heavy
+    chaos_plan<BT>(all_sites_plan(seed, 0, 150, 0));    // delay-heavy
+    chaos_plan<BT>(all_sites_plan(seed, 100, 60, 40));  // mixed failures
   }
 }
 
@@ -270,21 +271,20 @@ TEST(FaultInjection, AllSiteShapesShardedSet) {
   }
 }
 
-TEST(FaultInjection, PerSiteFailuresCombinedSet) {
+TEST(FaultInjection, PerSiteFailuresBat) {
   const char* sites[] = {
-      "pool.alloc_fail",   "bat.refresh_cas",     "combine.elected",
-      "combine.read_elected", "combine.publish_full", "combine.claim",
-      "combine.update_wait",  "combine.read_wait",    "ebr.advance_skip",
+      "pool.alloc_fail",
+      "bat.refresh_cas",
+      "ebr.advance_skip",
   };
   for (std::uint64_t seed : kSeeds) {
-    for (const char* site : sites) chaos_plan<CS>(one_site_plan(seed, site));
+    for (const char* site : sites) chaos_plan<BT>(one_site_plan(seed, site));
   }
 }
 
 TEST(FaultInjection, PerSiteFailuresShardedSet) {
   const char* sites[] = {
-      "shard.read_wait", "mig.copy_begin", "mig.copied",
-      "mig.sealed",      "mig.replayed",   "mig.flip",
+      "mig.copy_begin", "mig.copied", "mig.sealed", "mig.replayed", "mig.flip",
   };
   const auto before = Counters::snapshot();
   for (std::uint64_t seed : kSeeds) {
@@ -399,10 +399,9 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   // above but can be scheduler-dependent, so their absence is not an
   // error; print the union for the curious.
   const char* must_see[] = {
-      "pool.alloc_fail", "ebr.retire",      "ebr.advance",
+      "pool.alloc_fail", "ebr.retire",        "ebr.advance",
       "bat.apply_batch", "bat.refresh_build", "bat.refresh_cas",
-      "combine.elected", "combine.publish",  "mig.copy_begin",
-      "mig.flipped",     "mig.cleaned",
+      "mig.copy_begin",  "mig.flipped",       "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

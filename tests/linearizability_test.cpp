@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "combine/combined_set.h"
 #include "core/bat_tree.h"
 #include "same_key_race.h"
 #include "shard/sharded_set.h"
@@ -291,14 +290,12 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
 }
 
 // Two writers over *disjoint* tracked key sets (each spanning all four
-// shards, so both feed every shard's combining buffer), on the sharded
-// combined forest: exercises epoch stamping through apply_batch's merged
-// Propagate.  Disjoint ownership keeps the check exact — each writer's
-// projection of an observation must independently match one of that
-// writer's prefixes within its own real-time bounds.
-TEST(CrossShardLinearizability, ConcurrentCombinedTwoWriterHistoryLinearizes) {
-  using LinCombined4 =
-      ShardedSet<CombinedSet<Bat<SizeAug>>, 4, SnapshotPolicy::kLinearizable>;
+// shards, so both contend on every shard's root stamping), on the
+// linearizable forest.  Disjoint ownership keeps the check exact — each
+// writer's projection of an observation must independently match one of
+// that writer's prefixes within its own real-time bounds.
+TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
+  using LinForest4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
   constexpr int kWriters = 2;
   constexpr int kPerWriter = 4;  // one tracked key per shard per writer
   constexpr int kOps = 4000;
@@ -325,7 +322,7 @@ TEST(CrossShardLinearizability, ConcurrentCombinedTwoWriterHistoryLinearizes) {
     }
   }
 
-  LinCombined4 set(kKeyspace);
+  LinForest4 set(kKeyspace);
   std::atomic<std::int64_t> started[kWriters] = {};
   std::atomic<std::int64_t> done[kWriters] = {};
   std::atomic<bool> stop{false};
@@ -357,7 +354,7 @@ TEST(CrossShardLinearizability, ConcurrentCombinedTwoWriterHistoryLinearizes) {
       for (int w = 0; w < kWriters; ++w) {
         inv[w] = done[w].load(std::memory_order_seq_cst);
       }
-      LinCombined4::Snapshot snap(set);
+      LinForest4::Snapshot snap(set);
       std::int64_t present = 0;
       std::vector<bool> members[kWriters];
       for (int w = 0; w < kWriters; ++w) {
@@ -391,20 +388,16 @@ TEST(CrossShardLinearizability, ConcurrentCombinedTwoWriterHistoryLinearizes) {
   }
 }
 
-// --- stale cache races a root CAS (ISSUE 6: epoch-stamped caches) ---------
+// --- stale cache races a root CAS (epoch-stamped aggregate cache) ---------
 
-// The aggregate caches accept an entry only when its stored stamp equals
+// The aggregate cache accepts an entry only when its stored stamp equals
 // the stamp of the root the *caller* has pinned (aggregate_cache.h).  The
-// deterministic tests below construct the exact interleaving that check
-// exists for — a cache fill racing a root CAS — and fail if the stamp
-// validation is removed (make load_size/load_range ignore `stamp` and
-// both turn red).
+// deterministic test below constructs the exact interleaving that check
+// exists for — a cache fill racing a root CAS — and fails if the stamp
+// validation is removed (make load_range ignore `stamp`).
 
-using QuiescentRC4 =
-    ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-               ReadPath::kCombined>;
-using LinRC4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCombined>;
+using CachedLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                              ReadPath::kCached>;
 
 // Range cache: a snapshot pins shard 0's root, an update CASes that root
 // mid-acquisition, and the snapshot then answers (correctly, on its old
@@ -415,7 +408,7 @@ using LinRC4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
 // would serve the pre-update aggregate.
 TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   constexpr Key kLo = 100, kHi = 900;  // inside shard 0 (width 1000)
-  LinRC4 set(kKeyspace);
+  CachedLin4 set(kKeyspace);
   for (Key k = kLo; k <= kHi; k += 100) ASSERT_TRUE(set.insert(k));
   const std::int64_t before = 9;
   ASSERT_EQ(set.range_aggregate(kLo, kHi), before);
@@ -423,9 +416,9 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   // Pin shard 0, then land an in-range insert before shard 1 is read.
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
-    ASSERT_TRUE(static_cast<LinRC4*>(ctx)->insert(kLo + 50));
+    ASSERT_TRUE(static_cast<CachedLin4*>(ctx)->insert(kLo + 50));
   };
-  LinRC4::Snapshot snap(set, hook, &set);
+  CachedLin4::Snapshot snap(set, hook, &set);
   // The snapshot's cut predates the insert; its answer — which it also
   // stores into the range cache under the OLD root's stamp — is `before`.
   EXPECT_EQ(snap.range_aggregate(kLo, kHi), before);
@@ -434,32 +427,13 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   EXPECT_EQ(set.range_aggregate(kLo, kHi), before + 1);
 }
 
-// Size row: reader thread A fills the shared per-shard size row; an
-// update then CASes one shard's root (new unique stamp) without touching
-// the row; reader thread B's lease renewal probes the row with the NEW
-// stamp and must miss and recompute.  Threads (rather than one thread)
-// because a thread's own update self-patches its thread-local lease —
-// only a fresh lease exercises the shared row's validation.
-TEST(StaleAggregateCache, SizeRowOutlivedByRootCas) {
-  QuiescentRC4 set(kKeyspace);
-  for (Key k = 0; k < 20; ++k) ASSERT_TRUE(set.insert(k * 200));
-  std::thread([&] { EXPECT_EQ(set.size(), 20); }).join();  // fills the row
-  ASSERT_TRUE(set.insert(kKeyA));  // shard 0 root CAS; row now stale
-  std::int64_t observed = -1;
-  std::thread([&] { observed = set.size(); }).join();  // fresh lease
-  EXPECT_EQ(observed, 21);
-  // The key's shard-local effects must be visible through composite
-  // queries too (rank = prefix over the repaired row + one descent).
-  EXPECT_EQ(set.rank(kKeyA), set.range_count(0, kKeyA));
-}
-
 // Concurrent variant (TSan-gated in CI with the rest of this suite): the
-// leased/cached read path must serve linearizable answers while updates
-// re-stamp roots under it.  Single writer, known toggle sequence; readers
-// observe through the PUBLIC composite-query API — size() and a
-// whole-keyspace range_aggregate(), both answered via the lease and the
-// epoch-stamped caches — and every observation must equal the tracked
-// population of some writer prefix within its real-time bounds.
+// cached read path must serve linearizable answers while updates re-stamp
+// roots under it.  Single writer, known toggle sequence; readers observe
+// through the PUBLIC composite-query API — size(), a whole-keyspace
+// range_aggregate() (its boundary pieces served by the epoch-stamped
+// cache), and range_count() — and every observation must equal the
+// tracked population of some writer prefix within its real-time bounds.
 TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
   constexpr int kTracked = 8;
   constexpr int kOps = 6000;
@@ -485,7 +459,7 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
     }
   }
 
-  LinRC4 set(kKeyspace);
+  CachedLin4 set(kKeyspace);
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> done{0};
   std::atomic<bool> stop{false};
@@ -540,8 +514,9 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
   for (auto& t : readers) t.join();
   ASSERT_GT(checked.load(), 0);
 
-  // Quiescence: with the writer joined, every read path — leased fast
-  // path, repair walk, and both caches — must agree on the final state.
+  // Quiescence: with the writer joined, every read path — cached and
+  // recomputed, on this thread and a fresh one — must agree on the final
+  // state.
   const std::int64_t final_pop = prefix_pop.back();
   EXPECT_EQ(set.size(), final_pop);
   EXPECT_EQ(set.range_aggregate(0, kKeyspace - 1), final_pop);
@@ -559,9 +534,8 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 // destination's copy exact — remove mig_log()/replay_log() and the
 // post-flip membership diverges from the oracle.
 
-using AdaptLin4 = ShardedSet<CombinedSet<Bat<SizeAug>>, 4,
-                             SnapshotPolicy::kLinearizable, ReadPath::kDirect,
-                             /*Adaptive=*/true>;
+using AdaptLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                             ReadPath::kDirect, /*Adaptive=*/true>;
 
 // Shared state for the deterministic hook: the set, a same-thread oracle,
 // and the per-stage updates to apply.  The hook runs on the migrator's

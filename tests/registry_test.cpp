@@ -10,10 +10,8 @@
 #include "api/ordered_set.h"
 #include "bench/adapters.h"
 #include "chromatic/chromatic_set.h"
-#include "combine/combining_buffer.h"
 #include "core/bat_tree.h"
 #include "reclamation/ebr.h"
-#include "shard/aggregate_cache.h"
 
 namespace cbat {
 namespace {
@@ -118,41 +116,43 @@ TEST(Registry, ShardedStructureNamesResolve) {
   EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Sharded16-BAT"), cmp.end());
 }
 
-TEST(Registry, CombinedStructureNamesResolve) {
+TEST(Registry, CachedAndAdaptiveForestNamesResolve) {
   auto& reg = StructureRegistry::instance();
-  for (const char* name : {"Combined-BAT", "Sharded16-Combined-BAT"}) {
+  for (const char* name :
+       {"Sharded16-BAT-Cached", "Sharded16-BAT-Cached-Lin",
+        "Sharded16-BAT-Adapt", "Sharded16-BAT-Adapt-Lin"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
     EXPECT_TRUE(reg.is_ranked(name)) << name;
     auto set = reg.create(name);
     ASSERT_NE(set, nullptr) << name;
     EXPECT_EQ(set->name(), name);
     EXPECT_TRUE(set->supports_order_statistics()) << name;
-    // The combining layer keeps the full RankedSet contract through the
-    // type-erased interface.
+    // The full RankedSet + key-range-hint contract through the
+    // type-erased interface, range_aggregate included.
+    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
     EXPECT_TRUE(set->insert(5));
-    EXPECT_TRUE(set->insert(11));
-    EXPECT_FALSE(set->insert(11));
+    EXPECT_TRUE(set->insert(9999));
+    EXPECT_FALSE(set->insert(9999));
     EXPECT_EQ(set->size(), 2);
-    EXPECT_EQ(set->rank(11), 2);
+    EXPECT_EQ(set->rank(9999), 2);
     EXPECT_EQ(set->select_query(1), 5);
-    EXPECT_EQ(set->range_count(0, 100), 2);
+    EXPECT_EQ(set->range_count(0, 10000), 2);
+    EXPECT_EQ(set->range_aggregate(0, 10000), 2);
+    EXPECT_EQ(set->range_aggregate(0, 10000), 2) << "cached repeat";
     EXPECT_TRUE(set->erase(5));
-    EXPECT_EQ(set->size(), 1);
+    EXPECT_EQ(set->range_aggregate(0, 10000), 1) << name;
     // warm_up is advisory and must be callable through the interface.
     set->warm_up(64);
   }
-  // Only the sharded-combined forest takes the key-range hint.
-  EXPECT_FALSE(reg.create("Combined-BAT")->set_key_range_hint(10000));
-  EXPECT_TRUE(
-      reg.create("Sharded16-Combined-BAT")->set_key_range_hint(10000));
   // Not in the paper's comparison set.
   const auto cmp = reg.comparison_set();
-  EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Combined-BAT"), cmp.end());
+  EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Sharded16-BAT-Cached"),
+            cmp.end());
 }
 
 TEST(Registry, LinearizableSnapshotVariantsResolve) {
   auto& reg = StructureRegistry::instance();
-  for (const char* name : {"Sharded16-BAT-Lin", "Sharded16-Combined-BAT-Lin"}) {
+  for (const char* name : {"Sharded16-BAT-Lin", "Sharded16-BAT-Cached-Lin"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
     EXPECT_TRUE(reg.is_ranked(name)) << name;
     auto set = reg.create(name);
@@ -176,18 +176,20 @@ TEST(Registry, LinearizableSnapshotVariantsResolve) {
 TEST(Registry, ConsistencyIntrospectionPerStructure) {
   // Single trees answer composite queries from one atomic root snapshot:
   // linearizable, via the default.  The quiescent shard forests report
-  // the weaker guarantee; their "-Lin" twins restore the strong one.
+  // the weaker guarantee; their "-Lin" twins restore the strong one.  The
+  // aggregate cache and the rebalancer change neither.
   const struct {
     const char* name;
     api::Consistency want;
   } cases[] = {
       {"BAT", api::Consistency::kLinearizable},
-      {"Combined-BAT", api::Consistency::kLinearizable},
       {"ChromaticSet", api::Consistency::kQuiescentlyConsistent},
       {"Sharded16-BAT", api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT", api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Cached", api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Adapt", api::Consistency::kQuiescentlyConsistent},
       {"Sharded16-BAT-Lin", api::Consistency::kLinearizable},
-      {"Sharded16-Combined-BAT-Lin", api::Consistency::kLinearizable},
+      {"Sharded16-BAT-Cached-Lin", api::Consistency::kLinearizable},
+      {"Sharded16-BAT-Adapt-Lin", api::Consistency::kLinearizable},
   };
   for (const auto& c : cases) {
     auto set = bench::make_structure(c.name);
@@ -255,32 +257,28 @@ TEST(Registry, StructureInfoIsDerivedFromTheType) {
 
   const struct {
     const char* name;
-    bool ranked, combining, read_combining, adaptive;
+    bool ranked, adaptive;
     int shards;
     api::Consistency consistency;
   } cases[] = {
-      {"BAT", true, false, false, false, 1, api::Consistency::kLinearizable},
-      {"ChromaticSet", false, false, false, false, 1,
+      {"BAT", true, false, 1, api::Consistency::kLinearizable},
+      {"ChromaticSet", false, false, 1,
        api::Consistency::kQuiescentlyConsistent},
-      // Combined-BAT's composite reads ride the buffer too (SizeAug fits
-      // the wide response slot), so it reports read_combining.
-      {"Combined-BAT", true, true, true, false, 1,
+      {"Sharded16-BAT", true, false, 16,
+       api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Cached", true, false, 16,
+       api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Cached-Lin", true, false, 16,
        api::Consistency::kLinearizable},
-      {"Sharded16-BAT", true, false, false, false, 16,
+      {"Sharded16-BAT-Adapt", true, true, 16,
        api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-RC", true, true, true, false, 16,
-       api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-Adapt", true, true, false, true, 16,
-       api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-Adapt-Lin", true, true, false, true, 16,
+      {"Sharded16-BAT-Adapt-Lin", true, true, 16,
        api::Consistency::kLinearizable},
   };
   for (const auto& c : cases) {
     const auto info = reg.info(c.name);
     ASSERT_TRUE(info.has_value()) << c.name;
     EXPECT_EQ(info->ranked, c.ranked) << c.name;
-    EXPECT_EQ(info->combining, c.combining) << c.name;
-    EXPECT_EQ(info->read_combining, c.read_combining) << c.name;
     EXPECT_EQ(info->adaptive, c.adaptive) << c.name;
     EXPECT_EQ(info->shards, c.shards) << c.name;
     EXPECT_EQ(info->consistency, c.consistency) << c.name;
@@ -313,31 +311,19 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
   adapt.adaptive_rebalance = false;
   adapt.rebalance_hot_factor = 3.0;
   adapt.rebalance_check_period = 1024;
-  EXPECT_FALSE(reg.create("Sharded16-Combined-BAT")->configure(adapt));
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(adapt));
+  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(adapt));
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(adapt));
 
   // A mixed bag applies what it can but still reports the refusal.
   api::SetOptions mixed;
   mixed.key_range_hint = 4096;
   mixed.adaptive_rebalance = true;
   EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(mixed));
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(mixed));
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(mixed));
 }
 
 TEST(Registry, ConfigureRejectsMalformedKnobs) {
   auto& reg = StructureRegistry::instance();
-  const int saved_batch = combine_max_batch();
-
-  // combine_max_batch: 1 legitimately disables combining, but zero and
-  // negative batches are malformed and must leave the knob untouched.
-  for (const int bad : {0, -1, -64}) {
-    api::SetOptions o;
-    o.combine_max_batch = bad;
-    EXPECT_FALSE(reg.create("Sharded16-Combined-BAT")->configure(o))
-        << "batch " << bad << " must be refused";
-    EXPECT_EQ(combine_max_batch(), saved_batch)
-        << "a refused batch must not be applied";
-  }
 
   // hot_factor: the policy compares rates against hot_factor * mean, so
   // non-finite values and factors <= 1.0 are refused even by structures
@@ -347,7 +333,7 @@ TEST(Registry, ConfigureRejectsMalformedKnobs) {
         std::numeric_limits<double>::infinity()}) {
     api::SetOptions o;
     o.rebalance_hot_factor = bad;
-    EXPECT_FALSE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(o))
+    EXPECT_FALSE(reg.create("Sharded16-BAT-Adapt")->configure(o))
         << "hot_factor " << bad << " must be refused";
   }
 
@@ -355,16 +341,13 @@ TEST(Registry, ConfigureRejectsMalformedKnobs) {
   api::SetOptions zero_period;
   zero_period.rebalance_check_period = 0;
   EXPECT_FALSE(
-      reg.create("Sharded16-Combined-BAT-Adapt")->configure(zero_period));
+      reg.create("Sharded16-BAT-Adapt")->configure(zero_period));
 
   // The boundary values just past malformed still apply cleanly.
   api::SetOptions good;
-  good.combine_max_batch = 1;  // "disable combining" is a valid request
   good.rebalance_hot_factor = 1.5;
   good.rebalance_check_period = 1;
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(good));
-  EXPECT_EQ(combine_max_batch(), 1);
-  set_combine_max_batch(saved_batch);
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(good));
 }
 
 // ISSUE 9: the EBR limbo-pressure guardrail rides the same front door.
@@ -394,31 +377,20 @@ TEST(Registry, ConfigureEbrLimboHighWater) {
 }
 
 TEST(Registry, ConfigureDrivesTheProcessWideKnobs) {
-  const int saved_batch = combine_max_batch();
-  const bool saved_cache = aggregate_cache_enabled();
-  const bool saved_lease = lease_reads_enabled();
   const std::uint64_t saved_timeout = Bat<SizeAug>::delegation_timeout();
 
-  auto set = bench::make_structure("Sharded16-Combined-BAT");
+  auto set = bench::make_structure("Sharded16-BAT");
   api::SetOptions o;
-  o.combine_max_batch = saved_batch + 3;
-  o.aggregate_cache = !saved_cache;
-  o.lease_reads = !saved_lease;
   o.delegation_timeout = saved_timeout + 17;
   EXPECT_TRUE(set->configure(o));
-  EXPECT_EQ(combine_max_batch(), saved_batch + 3);
-  EXPECT_EQ(aggregate_cache_enabled(), !saved_cache);
-  EXPECT_EQ(lease_reads_enabled(), !saved_lease);
+  // Every BAT variant the registry instantiates observes the knob.
   EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), saved_timeout + 17);
+  EXPECT_EQ(BatDel<SizeAug>::delegation_timeout(), saved_timeout + 17);
+  EXPECT_EQ(BatEagerDel<SizeAug>::delegation_timeout(), saved_timeout + 17);
 
-  // The deprecated wrappers still work and observe the same slots.
-  set_combine_max_batch(saved_batch);
-  set_aggregate_cache(saved_cache);
-  set_lease_reads(saved_lease);
   Bat<SizeAug>::set_delegation_timeout(saved_timeout);
   BatDel<SizeAug>::set_delegation_timeout(saved_timeout);
   BatEagerDel<SizeAug>::set_delegation_timeout(saved_timeout);
-  EXPECT_EQ(combine_max_batch(), saved_batch);
   EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), saved_timeout);
 }
 
