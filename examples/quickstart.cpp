@@ -65,14 +65,13 @@ int main() {
 
   // Tuning goes through one front door: configure() takes a SetOptions
   // bag and applies every engaged field the structure can honor.  Here
-  // the adaptive sharded forest aligns its shard map to the keyspace and
-  // turns on online hot-shard rebalancing; configure() returns false if
-  // any engaged field could not be applied (e.g. the same options on a
-  // non-adaptive structure).
+  // the adaptive sharded forest, whose online hot-shard rebalancing is on
+  // by type, aligns its shard map to the keyspace; configure() returns
+  // false if any engaged field could not be applied (e.g. the same hint
+  // on a single tree, which has no shard map).
   auto forest = registry.create("Sharded16-BAT-Adapt");
   cbat::api::SetOptions opts;
   opts.key_range_hint = 1 << 20;
-  opts.adaptive_rebalance = true;
   const bool applied = forest->configure(opts);
   if (const auto info = registry.info(forest->name())) {
     std::printf("%s: shards=%d adaptive=%s, configure -> %s\n",

@@ -17,7 +17,6 @@
 // README.md.
 #pragma once
 
-#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -109,8 +108,8 @@ concept ConsistencyIntrospectable = requires {
 //
 // Scope caveat, inherited from the knobs themselves: delegation_timeout
 // and ebr_limbo_high_water are PROCESS-WIDE, so configure() on one
-// structure adjusts every structure sharing the process; the hint and the
-// rebalancing fields are per instance.
+// structure adjusts every structure sharing the process; the hint is per
+// instance.
 struct SetOptions {
   // Advisory: keys will be drawn from [0, key_range_hint).  Per instance.
   std::optional<Key> key_range_hint;
@@ -122,14 +121,6 @@ struct SetOptions {
   // advance + sweep and counts an ebr_pressure_events.  0 disables the
   // guardrail; negative is malformed (rejected).  Process-wide.
   std::optional<std::int64_t> ebr_limbo_high_water;
-  // Online hot-shard rebalancing ("-Adapt" forests only).  Per instance.
-  std::optional<bool> adaptive_rebalance;
-  // A shard migrates when its update rate exceeds this multiple (> 1) of
-  // the mean.  Per instance.
-  std::optional<double> rebalance_hot_factor;
-  // Updates between two rebalance-policy checks on one thread.  Per
-  // instance.
-  std::optional<std::uint32_t> rebalance_check_period;
 };
 
 // Static capabilities of a registered structure, derived from its type at
@@ -183,19 +174,11 @@ class AbstractOrderedSet {
 
   // Applies every engaged field of `o` that this structure (or the
   // process-wide knobs) can honor; returns true iff ALL engaged fields
-  // were applied.  The base implementation (registry.cpp) handles the
-  // generic fields — key_range_hint via the virtual below, the two
-  // process-wide knobs via their slots — and reports false for the
-  // rebalancing fields; SetModel overrides it to forward those to
-  // structures that expose the matching setters.  This is the preferred
-  // configuration front door; see SetOptions.
+  // were applied.  The base implementation (registry.cpp) sets the two
+  // process-wide knobs and refuses key_range_hint; SetModel overrides it
+  // to hand the hint to structures that can use it (the forests).  This
+  // is the single configuration front door; see SetOptions.
   virtual bool configure(const SetOptions& o);
-
-  // Deprecated: use configure({.key_range_hint = max_key}).  Advisory:
-  // keys will be drawn from [0, max_key); structures without a use for it
-  // (all the single trees) keep the no-op default.  Returns whether it
-  // was applied.
-  virtual bool set_key_range_hint(Key /*max_key*/) { return false; }
 
   // The guarantee this structure's composite queries (size/rank/select/
   // range_*) give under concurrent updates; see the Consistency enum.  The
@@ -259,49 +242,15 @@ class SetModel final : public AbstractOrderedSet {
     }
   }
 
-  bool set_key_range_hint(Key max_key) override {
-    if constexpr (KeyRangeHintable<T>) return t_.key_range_hint(max_key);
-    return false;
-  }
-
-  // Generic fields go through the base (process-wide knobs + the hint);
-  // the rebalancing fields bind to the concrete type's setters when it
-  // has them — the concept detection mirrors every other bridge here.
+  // The hint binds to the concrete type's key_range_hint when it has one;
+  // everything else goes through the base.
   bool configure(const SetOptions& o) override {
     SetOptions rest = o;
-    rest.adaptive_rebalance.reset();
-    rest.rebalance_hot_factor.reset();
-    rest.rebalance_check_period.reset();
+    rest.key_range_hint.reset();
     bool ok = AbstractOrderedSet::configure(rest);
-    if (o.adaptive_rebalance.has_value()) {
-      if constexpr (requires(T t, bool on) { t.set_adaptive_enabled(on); }) {
-        t_.set_adaptive_enabled(*o.adaptive_rebalance);
-      } else {
-        ok = false;
-      }
-    }
-    if (o.rebalance_hot_factor.has_value()) {
-      // The policy compares against hot_factor * mean rate: NaN/inf never
-      // triggers, <= 1.0 makes every shard "hot" — both malformed.
-      if (!std::isfinite(*o.rebalance_hot_factor) ||
-          *o.rebalance_hot_factor <= 1.0) {
-        ok = false;
-      } else if constexpr (requires(T t, double f) {
-                             t.set_rebalance_hot_factor(f);
-                           }) {
-        t_.set_rebalance_hot_factor(*o.rebalance_hot_factor);
-      } else {
-        ok = false;
-      }
-    }
-    if (o.rebalance_check_period.has_value()) {
-      // Zero would ask for a policy check on every update.
-      if (*o.rebalance_check_period == 0) {
-        ok = false;
-      } else if constexpr (requires(T t, std::uint32_t p) {
-                             t.set_rebalance_check_period(p);
-                           }) {
-        t_.set_rebalance_check_period(*o.rebalance_check_period);
+    if (o.key_range_hint.has_value()) {
+      if constexpr (KeyRangeHintable<T>) {
+        ok = t_.key_range_hint(*o.key_range_hint) && ok;
       } else {
         ok = false;
       }

@@ -109,17 +109,14 @@ StructureRegistry::StructureRegistry() {
   register_type<Cached16>("Sharded16-BAT-Cached");
   register_type<Cached16Lin>("Sharded16-BAT-Cached-Lin");
   // Adaptive forests (rebalance scenario): plain BAT shards plus the
-  // online hot-shard rebalancer.  The rebalancing knobs arrive through
-  // configure(SetOptions).
+  // online hot-shard rebalancer.
   register_type<Adapt16>("Sharded16-BAT-Adapt");
   register_type<Adapt16Lin>("Sharded16-BAT-Adapt-Lin");
 }
 
 bool AbstractOrderedSet::configure(const SetOptions& o) {
-  bool ok = true;
-  if (o.key_range_hint.has_value()) {
-    ok = set_key_range_hint(*o.key_range_hint) && ok;
-  }
+  // No use for the hint here; SetModel applies it to the forests.
+  bool ok = !o.key_range_hint.has_value();
   if (o.delegation_timeout.has_value()) {
     // The spin budget is a per-instantiation static on BatTree; apply it
     // to every variant the registry instantiates so the knob stays
@@ -136,12 +133,6 @@ bool AbstractOrderedSet::configure(const SetOptions& o) {
     } else {
       set_ebr_limbo_high_water(*o.ebr_limbo_high_water);
     }
-  }
-  // The rebalancing fields need a structure with the matching setters;
-  // SetModel's override applies them before delegating here.
-  if (o.adaptive_rebalance.has_value() || o.rebalance_hot_factor.has_value() ||
-      o.rebalance_check_period.has_value()) {
-    ok = false;
   }
   return ok;
 }

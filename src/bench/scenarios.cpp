@@ -820,8 +820,9 @@ void run_read_burst(ScenarioContext& ctx) {
 // checks) into the schema-1 JSON; scripts/compare_bench.py requires the
 // migration metrics on every adaptive run (missing = schema error) and
 // gates on the adaptive series not collapsing to the static one at
-// theta >= 1.2.  Smoke oversubscribes: the hot-shard penalty is runnable
-// threads contending for one shard's root.
+// theta >= 1.2.  Smoke and default runs use one worker per spare hardware
+// thread, so the hot-shard penalty is real cores contending for one
+// shard's root, not timeslicing.
 void run_rebalance(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   // 256K keys: wide enough that 1/16 of the keyspace is a meaningful Zipf
@@ -830,10 +831,12 @@ void run_rebalance(ScenarioContext& ctx) {
   // under the migration transient, so smoke runs a full second.
   const long maxkey = pick(args, "--maxkey", 1048576, 262144, 262144);
   const int ms = static_cast<int>(pick(args, "--ms", 3000, 1200, 400));
+  const long real_workers = std::max<long>(
+      2, static_cast<long>(std::thread::hardware_concurrency()) - 1);
   const auto thread_counts =
       args.full_scale()
           ? args.get_list("--threads", {12, 24, 48, 96})
-          : args.get_list("--threads", {args.smoke() ? 16L : 8L});
+          : args.get_list("--threads", {real_workers});
   const std::vector<double> thetas =
       args.full_scale()
           ? std::vector<double>{1.05, 1.2, 1.35, 1.5, 1.65}
@@ -877,12 +880,6 @@ void run_rebalance(ScenarioContext& ctx) {
           auto set = make_structure(s.structure);
           api::SetOptions opts;
           opts.key_range_hint = cfg.workload.max_key;
-          if (s.adaptive) {
-            // A short check period so the rebalancer converges within a
-            // smoke cell; the policy thresholds stay at their defaults.
-            opts.adaptive_rebalance = true;
-            opts.rebalance_check_period = 512;
-          }
           set->configure(opts);
           prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
           Counters::reset();
@@ -915,13 +912,10 @@ void run_rebalance(ScenarioContext& ctx) {
         const double imb_n = static_cast<double>(
             best_counters[Counter::kShardImbalanceSamples]);
         const double imbalance = imb_n > 0 ? imb_sum / 1000.0 / imb_n : 0.0;
-        const double aborts = static_cast<double>(
-            best_counters[Counter::kShardMigrationAborts]);
         rec.metrics = {{"migrations", migrations},
                        {"migrated_keys", moved},
                        {"double_routes", routes},
-                       {"shard_imbalance", imbalance},
-                       {"migration_aborts", aborts}};
+                       {"shard_imbalance", imbalance}};
         std::fprintf(stderr,
                      "  [%s theta=%s] %.3f Mop/s, %g migrations, "
                      "%g keys moved, imbalance %.1fx\n",

@@ -58,9 +58,9 @@
 // containment-tree balancing: no global coordinator, convergence while
 // traffic continues).  A boundary move runs the epoch-cut migration
 // protocol (docs/ARCHITECTURE.md "The migration protocol"): freeze the
-// move behind a phase word, bulk-move the keys on a linearizable epoch
-// cut via apply_batch, double-route in-flight updates through a dirty-key
-// log, seal the range for one grace period to replay the log, then
+// move behind a phase word, copy the keys on a linearizable epoch cut
+// with ordinary inserts, double-route in-flight updates through a
+// dirty-key log, seal the range for one grace period to replay the log, then
 // publish the new map and retire the moved keys' source-shard copies.
 // Composite queries stay correct because every shard's contribution is
 // restricted to the owned range of the map the snapshot pinned: a key's
@@ -147,12 +147,9 @@ template <class Inner = Bat<SizeAug>, int NumShards = 16,
           ReadPath RPath = ReadPath::kDirect, bool Adaptive = false>
   requires ShardableInner<Inner> && (NumShards >= 1) &&
            (Policy == SnapshotPolicy::kQuiescent || EpochStampedInner<Inner>) &&
-           // Migration freezes boundary moves at epoch cuts and bulk-moves
-           // keys with apply_batch, so adaptive forests need the stamping
-           // machinery even under kQuiescent plus a bulk update path.
-           (!Adaptive ||
-            (EpochStampedInner<Inner> &&
-             requires(Inner t, BatchOp* b, int n) { t.apply_batch(b, n); })) &&
+           // Migration freezes boundary moves at epoch cuts, so adaptive
+           // forests need the stamping machinery even under kQuiescent.
+           (!Adaptive || EpochStampedInner<Inner>) &&
            (RPath == ReadPath::kDirect ||
             (EpochStampedInner<Inner> &&
              std::same_as<typename Inner::AugType::Value, std::int64_t>))
@@ -737,30 +734,15 @@ class ShardedSet {
 
   // --- adaptive rebalancing API (Adaptive forests only) --------------------
 
-  // Master switch for the piggybacked controller; the protocol machinery
-  // stays armed (rebalance_once still works), only the policy goes quiet.
+  // Test seam: switches the piggybacked controller off so tests can drive
+  // moves by hand; the protocol machinery stays armed (rebalance_once
+  // still works), only the policy goes quiet.
   void set_adaptive_enabled(bool on)
     requires(Adaptive)
   {
     // relaxed: policy switch; no data is published with it.
     mig_.enabled.store(on, std::memory_order_relaxed);
   }
-  // A shard migrates when its update rate exceeds `f` times the mean
-  // (f > 1; default 2.0).
-  void set_rebalance_hot_factor(double f)
-    requires(Adaptive)
-  {
-    // relaxed: knob; any racing policy check may use either value.
-    if (f > 1.0) mig_.hot_factor.store(f, std::memory_order_relaxed);
-  }
-  // Updates between two policy checks on one thread (default 2048).
-  void set_rebalance_check_period(std::uint32_t p)
-    requires(Adaptive)
-  {
-    // relaxed: knob; any racing policy check may use either value.
-    if (p > 0) mig_.check_period.store(p, std::memory_order_relaxed);
-  }
-
   // Test seam, mirroring Snapshot::MidAcquireHook: called at every
   // protocol boundary of a migration (the kMigHook* stages) so
   // deterministic interleaving tests can run queries and updates against
@@ -771,18 +753,6 @@ class ShardedSet {
     // relaxed: ctx is published by the hook release store below.
     mig_.hook_ctx.store(ctx, std::memory_order_relaxed);
     mig_.hook.store(h, std::memory_order_release);
-  }
-
-  // Test seam for the rollback path: the NEXT migration aborts at pre-flip
-  // boundary `b` (0 = copy phase opened, 1 = bulk copy done, 2 = range
-  // sealed, 3 = log replayed, 4 = immediately before the map flip) and
-  // rolls back; one-shot.  Out-of-range values (e.g. -1) clear the seam.
-  // The CBAT_FAULT_FORCE mig.* sites drive the same path when fault
-  // injection is compiled in.
-  void set_migration_abort_point(int b)
-    requires(Adaptive)
-  {
-    mig_.abort_at.store(b, std::memory_order_seq_cst);
   }
 
   // Force one boundary move from shard `src` to an ADJACENT `dst` now
@@ -869,6 +839,10 @@ class ShardedSet {
     static constexpr std::uint32_t kLogCap = 1u << 13;
     // Don't split shards with fewer owned keys than this.
     static constexpr std::int64_t kMinSplitKeys = 16;
+    // The controller's policy: every kCheckPeriod updates a thread checks
+    // whether the hottest shard runs above kHotFactor times the mean rate.
+    static constexpr std::uint32_t kCheckPeriod = 512;
+    static constexpr double kHotFactor = 2.0;
 
     // shared: phase word; seq_cst-stored by the single migrator, rare.
     std::atomic<int> phase{kIdle};
@@ -889,19 +863,11 @@ class ShardedSet {
     MigrationGate gate;
     // Per-shard update-rate estimators (sampled 1-in-8 by note_update).
     std::array<Padded<std::atomic<std::uint64_t>>, NumShards> rate{};
-    // shared: policy knobs (see the public setters); read-mostly.
+    // shared: test seams (set_adaptive_enabled, set_migration_hook);
+    // read-mostly, idle in production.
     std::atomic<bool> enabled{true};
-    std::atomic<std::uint32_t> check_period{2048};
-    std::atomic<double> hot_factor{2.0};
-    // shared: test seam (set_migration_hook); idle in production.
     std::atomic<MigrationHook> hook{nullptr};
     std::atomic<void*> hook_ctx{nullptr};
-    // shared: test seam (set_migration_abort_point) — one-shot boundary
-    // index at which the next migration aborts; -1 idle.  The fault layer
-    // (CBAT_FAULT_FORCE on the mig.* sites) drives the same abort path
-    // without this seam, but the seam keeps the rollback testable in the
-    // default build.
-    std::atomic<int> abort_at{-1};
   };
   // Zero-cost stand-in keeping TSA attribute arguments (mig_.gate)
   // well-formed in instantiations that compile the real member out:
@@ -1044,14 +1010,13 @@ class ShardedSet {
       mig_.rate[shard]->fetch_add(8, std::memory_order_relaxed);
     }
     if (--until_check == 0) {
-      // relaxed: policy knob; any recent value works.
-      until_check = mig_.check_period.load(std::memory_order_relaxed);
+      until_check = Migration::kCheckPeriod;
       maybe_rebalance();
     }
   }
 
   // The RebalanceController's local rule: if the hottest shard's rate
-  // exceeds hot_factor x mean and an adjacent neighbor runs at half the
+  // exceeds kHotFactor x mean and an adjacent neighbor runs at half the
   // hot rate or less, shed half of the hot shard's keys to that neighbor.
   // Piggybacked on updater threads — no coordinator thread; the election
   // gate makes losers skip, not wait.
@@ -1077,11 +1042,9 @@ class ShardedSet {
       Counters::bump(Counter::kShardImbalanceSumMilli,
                      r[hot] * 1000 / mean);
       Counters::bump(Counter::kShardImbalanceSamples);
-      // relaxed: knob read; staleness only shifts one policy decision.
-      if (NumShards > 1 && static_cast<double>(r[hot]) >
-                               mig_.hot_factor.load(
-                                   std::memory_order_relaxed) *
-                                   static_cast<double>(mean)) {
+      const double hot_rate = static_cast<double>(r[hot]);
+      if (NumShards > 1 &&
+          hot_rate > Migration::kHotFactor * static_cast<double>(mean)) {
         // Cooler adjacent neighbor, the cooler of the two if both
         // qualify; require it to run at <= half the hot rate so the move
         // cannot ping-pong.
@@ -1158,69 +1121,20 @@ class ShardedSet {
     if (h != nullptr) h(mig_.hook_ctx.load(std::memory_order_acquire), stage);
   }
 
-  // Chunked bulk apply of one-sided ops (keys sorted) to shard s through
-  // the inner's batched update path (one merged Propagate per chunk),
-  // concurrent-safe with ordinary updates.
+  // Inserts (or erases) every key in `keys` on shard s, one ordinary
+  // update per key, so it is safe against every other update the shard
+  // sees.
   void apply_bulk(int s, const std::vector<Key>& keys, bool is_insert)
     requires(Adaptive)
   {
-    static constexpr std::size_t kChunk = 512;
-    std::array<BatchOp, kChunk> ops;
-    std::size_t i = 0;
-    while (i < keys.size()) {
-      const std::size_t n = std::min(kChunk, keys.size() - i);
-      for (std::size_t j = 0; j < n; ++j) {
-        ops[j] = BatchOp{keys[i + j], is_insert, false, 0};
+    Inner& t = *shards_[s];
+    for (Key k : keys) {
+      if (is_insert) {
+        t.insert(k);
+      } else {
+        t.erase(k);
       }
-      shards_[s]->apply_batch(ops.data(), static_cast<int>(n));
-      i += n;
     }
-  }
-
-  // Consumes a one-shot abort request armed for boundary `b` (see
-  // set_migration_abort_point).
-  bool mig_take_abort(int b)
-    requires(Adaptive)
-  {
-    int want = b;
-    // relaxed: failure order — a non-matching value is left in place and
-    // nothing is published either way; the success edge only hands the
-    // test's token back to the migrator.
-    return mig_.abort_at.compare_exchange_strong(
-        want, -1, std::memory_order_acq_rel, std::memory_order_relaxed);
-  }
-
-  // Rollback from any pre-flip boundary: recover to the legal state "this
-  // migration never happened".  Ordering matters —
-  //
-  //   (a) phase -> kIdle (seq_cst) disarms double-routing (kCopy loggers)
-  //       and releases parked kSeal updaters; both re-route by the OLD
-  //       map, which was never replaced, so src keeps serving the range.
-  //   (b) one quiesce lets every update that saw kCopy/kSeal finish — all
-  //       of them applied to src (pre-flip updates never write dst), so
-  //       after it dst's keys in [cut_lo, cut_hi] are exactly the
-  //       migrator's own copies.
-  //   (c) discard the copy: erase that range from dst.  The erases are
-  //       invisible to queries (every live map excludes the range from
-  //       dst's owned slice) — ASan and the leak checks in
-  //       sharded_set_test verify nothing is stranded.
-  //
-  // Always returns false so migrate() can `return abort_migration(...)`.
-  bool abort_migration(int dst, Key cut_lo, Key cut_hi)
-      CBAT_REQUIRES(mig_.gate)
-    requires(Adaptive)
-  {
-    mig_.phase.store(Migration::kIdle, std::memory_order_seq_cst);
-    mig_quiesce();
-    std::vector<Key> copied;
-    {
-      EbrGuard g;
-      version_collect_range<Aug>(shards_[dst]->root_version_unsafe(), cut_lo,
-                                 cut_hi, &copied, 0);
-    }
-    apply_bulk(dst, copied, /*is_insert=*/false);
-    Counters::bump(Counter::kShardMigrationAborts);
-    return false;
   }
 
   // One boundary move, start to finish.  Caller holds the migration gate
@@ -1274,10 +1188,11 @@ class ShardedSet {
     mig_.phase.store(Migration::kCopy, std::memory_order_seq_cst);
     run_hook(kMigHookCopyBegin);
     mig_quiesce();
-    // Abortable boundary 0 of 4: copy phase open, nothing copied yet.
-    if (mig_take_abort(0) || CBAT_FAULT_FORCE("mig.copy_begin")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    // Perturbation sites mark every pre-flip boundary: a yield or delay
+    // here stretches the phase so updaters and readers overlap it.  Once
+    // the descriptor is armed nothing below can fail, so there is no
+    // rollback; the move always runs to the flip.
+    CBAT_FAULT_POINT("mig.copy_begin");
 
     // (2) Bulk copy on a linearizable cut: collect src's range at E0 and
     // insert it into dst.  dst's copies stay invisible until the flip
@@ -1292,11 +1207,7 @@ class ShardedSet {
     }
     apply_bulk(dst, moved, /*is_insert=*/true);
     run_hook(kMigHookCopied);
-    // Abortable boundary 1 of 4: bulk copy sits in dst, invisible (the
-    // pre-flip map keeps the range out of dst's owned slice).
-    if (mig_take_abort(1) || CBAT_FAULT_FORCE("mig.copied")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.copied");
 
     // (3) Seal the range.  After the grace period no update is inside
     // the protocol with an un-replayed effect: kIdle-observers finished
@@ -1305,27 +1216,15 @@ class ShardedSet {
     mig_.phase.store(Migration::kSeal, std::memory_order_seq_cst);
     mig_quiesce();
     run_hook(kMigHookSealed);
-    // Abortable boundary 2 of 4: range sealed; the rollback's phase store
-    // releases any parked in-range updaters back to the old map.
-    if (mig_take_abort(2) || CBAT_FAULT_FORCE("mig.sealed")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.sealed");
 
     // (4) Replay the dirty log against src's sealed truth, making dst's
     // copy of the range exact.
     replay_log(src, dst, cut_lo, cut_hi);
     run_hook(kMigHookReplayed);
-    // Abortable boundary 3 of 4: dst's copy is exact, but src still owns
-    // the range; discarding the copy costs only the work done so far.
-    if (mig_take_abort(3) || CBAT_FAULT_FORCE("mig.replayed")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
-    // Abortable boundary 4 of 4: the last instant an abort is possible —
-    // the flip below is the commit point, after which the only legal
-    // direction is forward (steps 6 and 7 are then mandatory cleanup).
-    if (mig_take_abort(4) || CBAT_FAULT_FORCE("mig.flip")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.replayed");
+    // Last instant before the commit point: sealed updaters are parked.
+    CBAT_FAULT_POINT("mig.flip");
 
     // (5) Flip: publish the new boundary table, then finalize its epoch
     // stamp BEFORE retiring the old table — the order resolve_map_epoch's
@@ -1350,9 +1249,8 @@ class ShardedSet {
       ebr_retire(const_cast<ShardMap*>(m));
     }
     run_hook(kMigHookFlipped);
-    // Post-commit perturbation only (no CBAT_FAULT_FORCE): past the flip,
-    // a yield or delay checks that readers and parked updaters tolerate a
-    // slow migrator, but the protocol may no longer abort.
+    // Past the flip, a yield or delay checks that readers and parked
+    // updaters tolerate a slow migrator.
     CBAT_FAULT_POINT("mig.flipped");
 
     // (6) Open the range: parked updates resume and route by the new map

@@ -34,7 +34,7 @@ enum class Counter : int {
   kAggCacheHits,
   kAggCacheMisses,
   // Adaptive shard layer (src/shard/): completed boundary migrations, keys
-  // bulk-moved by them, updates that were double-routed into the dirty
+  // moved by them, updates that were double-routed into the dirty
   // log while a copy was in flight, and the controller's imbalance
   // samples (hottest shard's rate over the mean, in milli-units, summed —
   // divide by the sample count for the average the bench reports).
@@ -44,10 +44,8 @@ enum class Counter : int {
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
   // Robustness layer: EBR limbo bags crossing the high-water mark and
-  // triggering an inline reclaim attempt, and migrations that faulted
-  // before the map flip and rolled back to the old map.
+  // triggering an inline reclaim attempt.
   kEbrPressureEvents,
-  kShardMigrationAborts,
   kNumCounters
 };
 

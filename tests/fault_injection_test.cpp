@@ -37,8 +37,7 @@ namespace {
 // A single BAT: the update path's pool, Propagate and EBR sites.
 using BT = Bat<SizeAug>;
 // Adaptive AND aggregate-cached: one structure reaches the migration sites
-// (and apply_batch, which migration bulk-moves keys through) and the
-// aggregate-cache seqlock fills.
+// and the aggregate-cache seqlock fills.
 using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
                       ReadPath::kCached, true>;
 // BAT-EagerDel for the same-key races, where an unsuccessful update may
@@ -229,6 +228,17 @@ FaultPlan one_site_plan(std::uint64_t seed, const char* site) {
   return p;
 }
 
+// Yields and delays only, at one site: for perturbation-only sites, where
+// a forced failure has no path to take.
+FaultPlan one_site_perturb_plan(std::uint64_t seed, const char* site) {
+  FaultPlan p;
+  p.seed = seed;
+  p.yield_permil = 512;
+  p.delay_permil = 256;
+  p.only_site = site;
+  return p;
+}
+
 TEST(FaultInjection, ArmedDecisionSequencesAreDeterministic) {
   // Determinism is a property of the decision stream, not of whole-process
   // replay: protocol-level visit sequences legitimately differ between
@@ -282,19 +292,23 @@ TEST(FaultInjection, PerSiteFailuresBat) {
   }
 }
 
-TEST(FaultInjection, PerSiteFailuresShardedSet) {
+// Stretches each pre-flip migration phase in turn while updaters and
+// readers run across it.
+TEST(FaultInjection, PerSitePerturbationsShardedSet) {
   const char* sites[] = {
       "mig.copy_begin", "mig.copied", "mig.sealed", "mig.replayed", "mig.flip",
   };
   const auto before = Counters::snapshot();
   for (std::uint64_t seed : kSeeds) {
-    for (const char* site : sites) chaos_plan<SH>(one_site_plan(seed, site));
+    for (const char* site : sites) {
+      chaos_plan<SH>(one_site_perturb_plan(seed, site));
+    }
   }
   const auto after = Counters::snapshot();
-  // The mig.* plans force pre-flip faults, so the abort/rollback path must
-  // actually have fired — and every run above still ended oracle-equal.
-  EXPECT_GT(after[Counter::kShardMigrationAborts],
-            before[Counter::kShardMigrationAborts]);
+  // Moves must actually have completed under the stretched phases — and
+  // every run above still ended oracle-equal.
+  EXPECT_GT(after[Counter::kShardMigrations],
+            before[Counter::kShardMigrations]);
 }
 
 // --- same-key races on the direct update path ------------------------------
@@ -399,9 +413,8 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   // above but can be scheduler-dependent, so their absence is not an
   // error; print the union for the curious.
   const char* must_see[] = {
-      "pool.alloc_fail", "ebr.retire",        "ebr.advance",
-      "bat.apply_batch", "bat.refresh_build", "bat.refresh_cas",
-      "mig.copy_begin",  "mig.flipped",       "mig.cleaned",
+      "pool.alloc_fail", "ebr.retire",     "ebr.advance", "bat.refresh_build",
+      "bat.refresh_cas", "mig.copy_begin", "mig.flipped", "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

@@ -19,6 +19,13 @@ namespace {
 using api::AbstractOrderedSet;
 using api::StructureRegistry;
 
+// An options bag carrying only a key-range hint.
+api::SetOptions with_hint(Key max_key) {
+  api::SetOptions o;
+  o.key_range_hint = max_key;
+  return o;
+}
+
 const char* kBuiltins[] = {"BAT",     "BAT-Del",     "BAT-EagerDel",
                            "FR-BST",  "VcasBST",     "VerlibBTree",
                            "BundledCitrusTree",      "ChromaticSet"};
@@ -99,8 +106,8 @@ TEST(Registry, ShardedStructureNamesResolve) {
     EXPECT_EQ(set->name(), name);
     EXPECT_TRUE(set->supports_order_statistics()) << name;
     // The shard layer accepts the driver's key-range hint; single trees
-    // keep the no-op default.
-    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
+    // refuse it.
+    EXPECT_TRUE(set->configure(with_hint(10000))) << name;
     // And behaves like any RankedSet through the type-erased interface.
     EXPECT_TRUE(set->insert(5));
     EXPECT_TRUE(set->insert(9999));  // last shard
@@ -109,7 +116,7 @@ TEST(Registry, ShardedStructureNamesResolve) {
     EXPECT_EQ(set->select_query(1), 5);
     EXPECT_EQ(set->range_count(0, 10000), 2);
     // Populated: the hint must now be refused.
-    EXPECT_FALSE(set->set_key_range_hint(20000)) << name;
+    EXPECT_FALSE(set->configure(with_hint(20000))) << name;
   }
   // Not in the paper's Figures 6-9 comparison set.
   const auto cmp = reg.comparison_set();
@@ -129,7 +136,7 @@ TEST(Registry, CachedAndAdaptiveForestNamesResolve) {
     EXPECT_TRUE(set->supports_order_statistics()) << name;
     // The full RankedSet + key-range-hint contract through the
     // type-erased interface, range_aggregate included.
-    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
+    EXPECT_TRUE(set->configure(with_hint(10000))) << name;
     EXPECT_TRUE(set->insert(5));
     EXPECT_TRUE(set->insert(9999));
     EXPECT_FALSE(set->insert(9999));
@@ -159,7 +166,7 @@ TEST(Registry, LinearizableSnapshotVariantsResolve) {
     ASSERT_NE(set, nullptr) << name;
     EXPECT_EQ(set->name(), name);
     // Same RankedSet + key-range-hint contract as the quiescent twins.
-    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
+    EXPECT_TRUE(set->configure(with_hint(10000))) << name;
     EXPECT_TRUE(set->insert(5));
     EXPECT_TRUE(set->insert(9999));
     EXPECT_EQ(set->size(), 2);
@@ -206,7 +213,7 @@ TEST(Registry, ConsistencyIntrospectionPerStructure) {
 TEST(Registry, SingleTreesIgnoreKeyRangeHint) {
   auto set = bench::make_structure("BAT");
   ASSERT_NE(set, nullptr);
-  EXPECT_FALSE(set->set_key_range_hint(10000));
+  EXPECT_FALSE(set->configure(with_hint(10000)));
 }
 
 TEST(Registry, UserStructuresCanBeRegistered) {
@@ -298,56 +305,34 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
 
   // key_range_hint: honored by shard forests while empty, refused by
   // single trees and by populated forests — and configure() must say so.
-  api::SetOptions hint;
-  hint.key_range_hint = 10000;
-  EXPECT_FALSE(reg.create("BAT")->configure(hint));
+  EXPECT_FALSE(reg.create("BAT")->configure(with_hint(10000)));
   auto forest = reg.create("Sharded16-BAT");
-  EXPECT_TRUE(forest->configure(hint));
+  EXPECT_TRUE(forest->configure(with_hint(10000)));
   EXPECT_TRUE(forest->insert(5));
-  EXPECT_FALSE(forest->configure(hint)) << "populated forest must refuse";
+  EXPECT_FALSE(forest->configure(with_hint(10000)))
+      << "populated forest must refuse";
 
-  // Rebalancing fields: only the "-Adapt" forests can honor them.
-  api::SetOptions adapt;
-  adapt.adaptive_rebalance = false;
-  adapt.rebalance_hot_factor = 3.0;
-  adapt.rebalance_check_period = 1024;
-  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(adapt));
-  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(adapt));
-
-  // A mixed bag applies what it can but still reports the refusal.
+  // A mixed bag reports the refusal of any one field: the single tree
+  // accepts the process-wide knob (re-set to its current value) but
+  // refuses the hint.
   api::SetOptions mixed;
   mixed.key_range_hint = 4096;
-  mixed.adaptive_rebalance = true;
-  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(mixed));
+  mixed.ebr_limbo_high_water = ebr_limbo_high_water();
+  EXPECT_FALSE(reg.create("BAT")->configure(mixed));
   EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(mixed));
 }
 
 TEST(Registry, ConfigureRejectsMalformedKnobs) {
   auto& reg = StructureRegistry::instance();
 
-  // hot_factor: the policy compares rates against hot_factor * mean, so
-  // non-finite values and factors <= 1.0 are refused even by structures
-  // that have the setter.
-  for (const double bad :
-       {0.5, 1.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity()}) {
-    api::SetOptions o;
-    o.rebalance_hot_factor = bad;
-    EXPECT_FALSE(reg.create("Sharded16-BAT-Adapt")->configure(o))
-        << "hot_factor " << bad << " must be refused";
+  // key_range_hint: keys are drawn from [0, hint), so a non-positive
+  // hint describes no keyspace and even an empty forest refuses it.
+  for (const Key bad : {Key{0}, Key{-1}}) {
+    EXPECT_FALSE(reg.create("Sharded16-BAT-Adapt")->configure(with_hint(bad)))
+        << "hint " << bad << " must be refused";
   }
-
-  // check_period: zero would run the policy on every update.
-  api::SetOptions zero_period;
-  zero_period.rebalance_check_period = 0;
-  EXPECT_FALSE(
-      reg.create("Sharded16-BAT-Adapt")->configure(zero_period));
-
-  // The boundary values just past malformed still apply cleanly.
-  api::SetOptions good;
-  good.rebalance_hot_factor = 1.5;
-  good.rebalance_check_period = 1;
-  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(good));
+  // The boundary value just past malformed still applies cleanly.
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(with_hint(1)));
 }
 
 // ISSUE 9: the EBR limbo-pressure guardrail rides the same front door.
