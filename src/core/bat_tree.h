@@ -432,7 +432,13 @@ class BatTree {
       if (x->version.compare_exchange_strong(expected, nv,
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
-        if (stamped_root) stamp_epoch(nv);
+        if (stamped_root) {
+          // nv is the root now but carries no stamp yet: a reader that
+          // uses it without stamping it could see this update before an
+          // epoch cut taken later does.  Stretching the window exposes it.
+          CBAT_FAULT_POINT("bat.root_stamp");
+          stamp_epoch(nv);
+        }
         r.success = true;
         r.old = old;
         return r;

@@ -16,10 +16,14 @@
 //     shard, then one O(log n) `version_select` descent inside it.
 //
 // Consistency: each shard is a BAT, so every single-shard operation is
-// linearizable.  A `Snapshot` pins all shard root versions under one EBR
-// guard; all queries through one Snapshot see the same immutable forest
-// (multi-query consistency).  How the cut is *acquired* is the
-// SnapshotPolicy template parameter:
+// linearizable.  A `Snapshot` holds one EBR guard for its whole life and
+// memoizes every shard root it reads, so all queries through one Snapshot
+// see the same immutable forest (multi-query consistency).  It takes its
+// cut one of two ways.
+//
+// The epoch cut serves user-held Snapshots and the one-shot queries that
+// need the whole forest (size, rank, select, range_collect) or more than
+// two shards.  The SnapshotPolicy template parameter says how it is taken:
 //
 //   * kQuiescent (default): the roots are read one after another, so a
 //     cross-shard query is quiescently consistent, not linearizable — it
@@ -29,16 +33,32 @@
 //   * kLinearizable: the set owns a global epoch counter that every
 //     shard-root installation stamps (BatTree::set_epoch_source, vcas-
 //     style deferred timestamps as in Wei et al.'s constant-time
-//     snapshots).  Acquisition is two-phase: fetch_add the counter — the
-//     snapshot's linearization point — then resolve each shard's root to
-//     the newest version stamped at or before that epoch, walking the
-//     root's prev_root history backward when an installation raced past
-//     the cut.  Every composite query on the snapshot then linearizes at
-//     the fetch_add, closing the gap the quiescent mode leaves (and the
-//     correctness gap that blocks hot-shard rebalancing; see ROADMAP).
-//     Updates pay one counter load plus one uncontended stamp CAS per
-//     root refresh; acquisition pays the fetch_add plus a usually-empty
-//     history walk (see the snapshot_consistency bench scenario).
+//     snapshots).  The constructor fetch_adds the counter — the
+//     snapshot's linearization point.  A shard's root is resolved the
+//     first time a query on the snapshot needs it, to the newest version
+//     stamped at or before that epoch (walking the root's prev_root
+//     history backward past installations stamped after the cut), and
+//     memoized.  Every composite query on the snapshot linearizes at the
+//     fetch_add.  Updates pay one counter load plus one uncontended stamp
+//     CAS per root refresh.
+//
+// The span cut serves one-shot range_count, range_aggregate and
+// select_in_range whose keys lie in one or two shards, and floor/ceiling
+// that hit in their own shard, on static forests.  It never touches the
+// counter.  One shard: load the root, help-stamp it, use it.  Two shards:
+// a validated double collect — load and help-stamp each root, reload
+// both, and accept when neither moved; both roots were installed and
+// stamped at the last stamp, which is where the query linearizes.  After
+// kCollectAttempts failed validations it falls back to the epoch cut.
+// Under kQuiescent the span cut is linearizable too (a root is current
+// from its install until the next one), so it is stronger than the epoch
+// cut it replaces there.  Adaptive forests keep the epoch cut for every
+// query: their routing map would have to join the collect.
+//
+// Under kLinearizable, readers that use a root without a cut — contains —
+// help-stamp it as the span cut does.  An unstamped root may still be
+// stamped above a later epoch cut, which would then walk back past a key
+// contains already reported.
 //
 // Shard map: shard_of(k) = clamp(k / width) with width = ceil(keyspace /
 // NumShards).  The keyspace defaults to `default_keyspace()` and can be
@@ -289,25 +309,29 @@ class ShardedSet {
 
   // --- queries -------------------------------------------------------------
 
+  // Point reads help-stamp the root they read (root_now; see the header
+  // comment).  Adaptive forests route by the current map, under the guard
+  // so the map stays live.  That is correct in every migration phase:
+  // before the flip the old map routes a migrating key to its source
+  // shard, which stays authoritative until the range is sealed and
+  // replayed; after the flip the new map routes to the destination, which
+  // the replay made identical to the source at the moment updates were
+  // still blocked — at the flip instant both routes give the same answer.
   bool contains(Key k) const {
+    EbrGuard g;
+    int s;
     if constexpr (Adaptive) {
-      // Route by the current map, under a guard so the map stays live.
-      // Correct in every migration phase: before the flip the old map
-      // routes a migrating key to its source shard, which stays
-      // authoritative until the range is sealed and replayed; after the
-      // flip the new map routes to the destination, which the replay made
-      // identical to the source at the moment updates were still blocked —
-      // at the flip instant both routes give the same answer.
-      EbrGuard g;
-      const ShardMap* m = map_.load(std::memory_order_acquire);
-      return shards_[m->shard_of(k)]->contains(k);
+      s = map_.load(std::memory_order_acquire)->shard_of(k);
     } else {
-      return shard(k).contains(k);
+      s = shard_of(k);
     }
+    return version_contains<Aug>(root_now(s), k);
   }
 
   // All composite queries pin one Snapshot so their per-shard reads merge a
   // single consistent forest (see the header comment for the guarantee).
+  // The key-range queries pass the shard span they read, which lets a
+  // Snapshot on one or two shards take the counter-free span cut.
   // Named Snapshot locals (never temporaries) throughout: TSA tracks
   // scoped capabilities only for named local variables, so
   // `Snapshot(*this).x()` would not prove ebr_capability held for x().
@@ -324,22 +348,35 @@ class ShardedSet {
     return snap.select(i);
   }
   std::int64_t range_count(Key lo, Key hi) const {
-    const Snapshot snap(*this);
+    const Snapshot snap(*this, shard_of(lo), shard_of(hi));
     return snap.range_count(lo, hi);
   }
   AugValue range_aggregate(Key lo, Key hi) const {
-    const Snapshot snap(*this);
+    const Snapshot snap(*this, shard_of(lo), shard_of(hi));
     return snap.range_aggregate(lo, hi);
   }
   std::optional<Key> select_in_range(Key lo, Key hi, std::int64_t i) const {
-    const Snapshot snap(*this);
+    const Snapshot snap(*this, shard_of(lo), shard_of(hi));
     return snap.select_in_range(lo, hi, i);
   }
+  // floor/ceiling first look in k's own shard on its span cut; only a miss
+  // there with shards left to walk takes a whole-forest cut and starts
+  // over on it.
   std::optional<Key> floor(Key k) const {
+    {
+      const Snapshot snap(*this, shard_of(k), shard_of(k));
+      const std::optional<Key> r = snap.floor(k);
+      if (r || snap.slo_ == 0) return r;
+    }
     const Snapshot snap(*this);
     return snap.floor(k);
   }
   std::optional<Key> ceiling(Key k) const {
+    {
+      const Snapshot snap(*this, shard_of(k), shard_of(k));
+      const std::optional<Key> r = snap.ceiling(k);
+      if (r || snap.shi_ == NumShards - 1) return r;
+    }
     const Snapshot snap(*this);
     return snap.ceiling(k);
   }
@@ -348,18 +385,16 @@ class ShardedSet {
     return snap.keys(lo, hi, limit);
   }
 
-  // Pins every shard's root version under ONE EBR guard: `guard_` is
-  // declared (and therefore constructed) before the root-pinning loop in
-  // the constructor runs, and it spans every query made through the
-  // snapshot — composite queries never re-enter the EBR per shard.  Under
-  // SnapshotPolicy::kLinearizable the pinning loop is the second phase of
-  // the two-phase acquisition: phase one increments the owner's epoch
-  // counter (the snapshot's linearization point), phase two resolves each
-  // shard's root against that epoch, walking the root's prev_root history
-  // backward past any installation stamped after the cut.  The shard-size
-  // prefix sums are materialized lazily, once, on the first query that
-  // needs them (rank/select/size); order-free queries such as floor or
-  // range_aggregate skip the O(NumShards) size reads entirely.
+  // A consistent cut of the forest under ONE EBR guard: `guard_` is
+  // declared (and therefore constructed) before the constructor takes the
+  // cut, and it spans every query made through the snapshot — composite
+  // queries never re-enter the EBR per shard.  Public constructors take
+  // the epoch cut over every shard; the private span constructor serves
+  // the one-shot key-range queries above (see the header comment for
+  // both).  Every root the snapshot reads is memoized in roots_, and the
+  // shard-size prefix sums are materialized lazily, once, on the first
+  // query that needs them (rank/select/size); order-free queries such as
+  // floor or range_aggregate skip the O(NumShards) size reads entirely.
   //
   // For Thread Safety Analysis the Snapshot IS a scoped ebr_capability
   // (its guard_ member pins the epoch for its whole lifetime), and every
@@ -368,69 +403,22 @@ class ShardedSet {
   class CBAT_SCOPED_CAPABILITY Snapshot {
    public:
     // Test-only seam: called with the shard index right before that
-    // shard's root is read, letting deterministic interleaving tests
-    // (tests/linearizability_test.cpp) run updates mid-acquisition.
+    // shard's root is read — in the constructor under kQuiescent, at the
+    // first query touching the shard under kLinearizable — letting
+    // deterministic interleaving tests (tests/linearizability_test.cpp)
+    // run updates between the cut and the read.
     using MidAcquireHook = void (*)(void* ctx, int next_shard);
 
     explicit Snapshot(const ShardedSet& s) CBAT_ACQUIRE(ebr_capability)
         : Snapshot(s, nullptr, nullptr) {}
     Snapshot(const ShardedSet& s, MidAcquireHook hook, void* hook_ctx)
         CBAT_ACQUIRE(ebr_capability)
-        : owner_(&s) {
+        : owner_(&s), hook_(hook), hook_ctx_(hook_ctx) {
       // guard: guard_ is constructed before this body runs (it is the
       // first member); TSA does not track member-subobject guards, so
       // assert the capability it already pinned.
       ebr_assert_held();
-      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-        // fetch_add (not a plain read): every root stamped after this
-        // point reads a counter value > epoch_, so it resolves past the
-        // cut — and every update whose response preceded this call was
-        // stamped <= epoch_, so it resolves inside it.
-        epoch_ = s.epoch_->fetch_add(1, std::memory_order_seq_cst);
-        if constexpr (Adaptive) {
-          // Resolve the map the same way the roots are resolved: newest
-          // table whose flip was stamped at or before the cut.  Any
-          // (map@E, roots@E) pair is consistent — the owned-range
-          // restriction below hides a destination's pre-flip copies and
-          // a source's post-flip leftovers on every cut.
-          map_ = s.resolve_map_epoch(
-              s.map_.load(std::memory_order_seq_cst), epoch_);
-        }
-      } else if constexpr (Adaptive) {
-        map_ = s.map_.load(std::memory_order_acquire);
-      }
-      for (;;) {
-        for (int i = 0; i < NumShards; ++i) {
-          if (hook != nullptr) hook(hook_ctx, i);
-          const V* r = s.shards_[i]->root_version_unsafe();
-          if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-            // The resolve walk helps finalize stamps, so it must mint them
-            // in the forest's mode: unique forests (kCached) may never
-            // let a load-based helper duplicate a fetch_add-minted stamp.
-            if constexpr (RPath == ReadPath::kCached) {
-              r = version_resolve_epoch_unique<Aug>(r, epoch_, *s.epoch_);
-            } else {
-              r = version_resolve_epoch<Aug>(r, epoch_, *s.epoch_);
-            }
-          }
-          roots_[i] = r;
-        }
-        if constexpr (Adaptive && Policy == SnapshotPolicy::kQuiescent) {
-          // A quiescent cut must not pair an OLD map with roots pinned
-          // after a newer map's post-flip cleanup (the cleanup's erases
-          // would make the migrated range vanish from both shards under
-          // the old restriction).  Re-check the map after pinning: flips
-          // are rare, the loop virtually never retries, and the guard
-          // held across the whole loop rules out map-pointer ABA (a
-          // retired map cannot be freed and reallocated while we run).
-          const ShardMap* cur = s.map_.load(std::memory_order_acquire);
-          if (cur != map_) {
-            map_ = cur;
-            continue;
-          }
-        }
-        break;
-      }
+      take_epoch_cut();
     }
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
@@ -448,13 +436,13 @@ class ShardedSet {
       }
     }
 
-    // The acquisition epoch (kLinearizable; 0 under kQuiescent).  All
-    // composite queries on this snapshot linearize at the counter
-    // increment that returned it.
+    // The epoch this snapshot's cut was taken at: the counter value its
+    // fetch_add returned (kLinearizable epoch cut), else 0 (kQuiescent,
+    // and span cuts, which take no counter value).
     std::uint64_t epoch() const { return epoch_; }
 
     bool contains(Key k) const CBAT_REQUIRES(ebr_capability) {
-      return version_contains<Aug>(root_of(k), k);
+      return version_contains<Aug>(root(snap_shard_of(k)), k);
     }
 
     std::int64_t size() const CBAT_REQUIRES(ebr_capability) {
@@ -468,10 +456,10 @@ class ShardedSet {
     std::int64_t rank(Key k) const CBAT_REQUIRES(ebr_capability) {
       const int s = snap_shard_of(k);
       if constexpr (Adaptive) {
-        return prefix()[s] + version_rank<Aug>(roots_[s], k) -
-               version_rank_less<Aug>(roots_[s], map_->lo_of(s));
+        return prefix()[s] + version_rank<Aug>(root(s), k) -
+               version_rank_less<Aug>(root(s), map_->lo_of(s));
       } else {
-        return prefix()[s] + version_rank<Aug>(roots_[s], k);
+        return prefix()[s] + version_rank<Aug>(root(s), k);
       }
     }
 
@@ -479,10 +467,10 @@ class ShardedSet {
     std::int64_t rank_less(Key k) const CBAT_REQUIRES(ebr_capability) {
       const int s = snap_shard_of(k);
       if constexpr (Adaptive) {
-        return prefix()[s] + version_rank_less<Aug>(roots_[s], k) -
-               version_rank_less<Aug>(roots_[s], map_->lo_of(s));
+        return prefix()[s] + version_rank_less<Aug>(root(s), k) -
+               version_rank_less<Aug>(root(s), map_->lo_of(s));
       } else {
-        return prefix()[s] + version_rank_less<Aug>(roots_[s], k);
+        return prefix()[s] + version_rank_less<Aug>(root(s), k);
       }
     }
 
@@ -495,19 +483,27 @@ class ShardedSet {
       const auto it = std::lower_bound(pre.begin() + 1, pre.end(), i);
       const int s = static_cast<int>(it - pre.begin()) - 1;
       if constexpr (Adaptive) {
-        return version_select_in_range<Aug>(roots_[s], map_->lo_of(s),
+        return version_select_in_range<Aug>(root(s), map_->lo_of(s),
                                             map_->hi_of(s), i - pre[s]);
       } else {
-        return version_select<Aug>(roots_[s], i - pre[s]);
+        return version_select<Aug>(root(s), i - pre[s]);
       }
     }
 
-    // Keys in [lo, hi]: two composite rank descents (the middle shards are
-    // absorbed by the prefix sums).
+    // Keys in [lo, hi]: the sum of each shard's slice over the span the
+    // range covers — one descent in each boundary shard, O(1) for a
+    // fully covered middle shard of a static forest.
     std::int64_t range_count(Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
       if (lo > hi) return 0;
-      return rank(hi) - rank_less(lo);
+      const int slo = snap_shard_of(lo);
+      const int shi = snap_shard_of(hi);
+      std::int64_t n = 0;
+      for (int s = slo; s <= shi; ++s) {
+        n += slice(s, s == slo ? lo : kMinKey, s == shi ? hi : kMaxUserKey)
+                 .count;
+      }
+      return n;
     }
 
     // Aggregate over [lo, hi]: boundary shards answer partially, every
@@ -539,36 +535,43 @@ class ShardedSet {
       } else {
         AugValue acc = shard_range_agg(slo, lo, kMaxUserKey);
         for (int s = slo + 1; s < shi; ++s) {
-          acc = Aug::combine(acc, roots_[s]->aug);
+          acc = Aug::combine(acc, root(s)->aug);
         }
-        return Aug::combine(
-            acc,
-            shard_range_agg(shi, std::numeric_limits<Key>::min(), hi));
+        return Aug::combine(acc, shard_range_agg(shi, kMinKey, hi));
       }
     }
 
-    // i-th smallest key within [lo, hi] (1-based), all on this snapshot.
+    // i-th smallest key within [lo, hi] (1-based), all on this snapshot:
+    // walk the covered shards' slices until the one holding it, then one
+    // select descent there.
     std::optional<Key> select_in_range(Key lo, Key hi, std::int64_t i) const
         CBAT_REQUIRES(ebr_capability) {
       if (lo > hi || i < 1) return std::nullopt;
-      const std::int64_t before = rank_less(lo);
-      if (i > rank(hi) - before) return std::nullopt;
-      return select(before + i);
+      const int slo = snap_shard_of(lo);
+      const int shi = snap_shard_of(hi);
+      for (int s = slo; s <= shi; ++s) {
+        const Slice c =
+            slice(s, s == slo ? lo : kMinKey, s == shi ? hi : kMaxUserKey);
+        if (i <= c.count) return version_select<Aug>(root(s), c.below + i);
+        i -= c.count;
+      }
+      return std::nullopt;
     }
 
     // Largest key <= k: try k's shard, then walk down over empty-below
-    // shards (usually zero or one extra probe).  Adaptive shards clamp
-    // the probe to the owned range and reject answers below it — a stale
-    // out-of-range copy must neither be returned nor end the walk.
+    // shards (usually zero or one extra probe) as far as the cut reaches.
+    // Adaptive shards clamp the probe to the owned range and reject
+    // answers below it — a stale out-of-range copy must neither be
+    // returned nor end the walk.
     std::optional<Key> floor(Key k) const CBAT_REQUIRES(ebr_capability) {
-      for (int s = snap_shard_of(k); s >= 0; --s) {
+      for (int s = snap_shard_of(k); s >= slo_; --s) {
         if constexpr (Adaptive) {
           const Key cap = std::min(k, map_->hi_of(s));
-          if (auto r = version_floor<Aug>(roots_[s], cap)) {
+          if (auto r = version_floor<Aug>(root(s), cap)) {
             if (*r >= map_->lo_of(s)) return r;
           }
         } else {
-          if (auto r = version_floor<Aug>(roots_[s], k)) return r;
+          if (auto r = version_floor<Aug>(root(s), k)) return r;
         }
       }
       return std::nullopt;
@@ -576,44 +579,175 @@ class ShardedSet {
 
     // Smallest key >= k.
     std::optional<Key> ceiling(Key k) const CBAT_REQUIRES(ebr_capability) {
-      for (int s = snap_shard_of(k); s < NumShards; ++s) {
+      for (int s = snap_shard_of(k); s <= shi_; ++s) {
         if constexpr (Adaptive) {
           const Key flo = std::max(k, map_->lo_of(s));
-          if (auto r = version_ceiling<Aug>(roots_[s], flo)) {
+          if (auto r = version_ceiling<Aug>(root(s), flo)) {
             if (*r <= map_->hi_of(s)) return r;
           }
         } else {
-          if (auto r = version_ceiling<Aug>(roots_[s], k)) return r;
+          if (auto r = version_ceiling<Aug>(root(s), k)) return r;
         }
       }
       return std::nullopt;
     }
 
     // All keys in [lo, hi] in order; shard contiguity makes simple
-    // per-shard concatenation sorted (adaptive shards clamp each
-    // collection to the shard's owned slice of [lo, hi]).
-    std::vector<Key> keys(Key lo = std::numeric_limits<Key>::min(),
-                          Key hi = kMaxUserKey, std::size_t limit = 0) const
+    // per-shard concatenation over the covered shards sorted (adaptive
+    // shards clamp each collection to the shard's owned slice of
+    // [lo, hi]).
+    std::vector<Key> keys(Key lo = kMinKey, Key hi = kMaxUserKey,
+                          std::size_t limit = 0) const
         CBAT_REQUIRES(ebr_capability) {
       std::vector<Key> out;
-      for (int s = 0; s < NumShards; ++s) {
+      if (lo > hi) return out;
+      const int shi = snap_shard_of(hi);
+      for (int s = snap_shard_of(lo); s <= shi; ++s) {
         if constexpr (Adaptive) {
           const Key l = std::max(lo, map_->lo_of(s));
           const Key h = std::min(hi, map_->hi_of(s));
-          if (l <= h) version_collect_range<Aug>(roots_[s], l, h, &out, limit);
+          if (l <= h) version_collect_range<Aug>(root(s), l, h, &out, limit);
         } else {
-          version_collect_range<Aug>(roots_[s], lo, hi, &out, limit);
+          version_collect_range<Aug>(root(s), lo, hi, &out, limit);
         }
         if (limit > 0 && out.size() >= limit) break;
       }
       return out;
     }
 
+    // Shard s's root on this snapshot's cut, resolved on first use.
     const V* root(int s) const CBAT_REQUIRES(ebr_capability) {
-      return roots_[s];
+      const V* r = roots_[s];
+      return r != nullptr ? r : resolve(s);
     }
 
    private:
+    friend class ShardedSet;
+
+    static constexpr Key kMinKey = std::numeric_limits<Key>::min();
+
+    // The span constructor (one-shot key-range queries): the cut covers
+    // only shards [slo, shi], the span the query reads.  Static forests
+    // take the counter-free span cut when the span has one or two shards;
+    // everything else, and a span cut that keeps failing validation, takes
+    // the epoch cut restricted to the span.  Adaptive forests always cut
+    // the whole forest: their pinned map decides the span.
+    Snapshot(const ShardedSet& s, int slo, int shi)
+        CBAT_ACQUIRE(ebr_capability)
+        : owner_(&s),
+          slo_(Adaptive ? 0 : slo),
+          shi_(Adaptive ? NumShards - 1 : std::max(slo, shi)) {
+      // guard: as in the public constructor.
+      ebr_assert_held();
+      if constexpr (!Adaptive) {
+        if (shi_ - slo_ <= 1 && take_span_cut()) return;
+      }
+      take_epoch_cut();
+    }
+
+    // The span cut (see the header comment; the linearization argument is
+    // in docs/ARCHITECTURE.md, "How the epoch cut works").  Each attempt
+    // loads and help-stamps every root of the span (the first collect),
+    // then reloads them (the second).  Equal pointers mean each root was
+    // current from its first load to its reload: a root pointer cannot
+    // recur, because installs publish fresh versions and the guard keeps a
+    // retired one from being freed and reallocated.  One shard needs no
+    // second collect.  Returns false after kCollectAttempts failed
+    // validations; the epoch cut taken next discards the collected roots.
+    bool take_span_cut() CBAT_REQUIRES(ebr_capability) {
+      const ShardedSet& s = *owner_;
+      for (int attempt = 0; attempt < kCollectAttempts; ++attempt) {
+        for (int i = slo_; i <= shi_; ++i) roots_[i] = s.root_now(i);
+        if (slo_ == shi_) return true;
+        if (s.collect_hook_ != nullptr) {
+          s.collect_hook_(s.collect_hook_ctx_, attempt);
+        }
+        bool same = true;
+        for (int i = slo_; i <= shi_; ++i) {
+          same = same && s.shards_[i]->root_version_unsafe() == roots_[i];
+        }
+        if (same) return true;
+        Counters::bump(Counter::kShardCollectConflicts);
+      }
+      Counters::bump(Counter::kShardCollectFallbacks);
+      return false;
+    }
+
+    // The epoch cut over [slo_, shi_].  Under kLinearizable the fetch_add
+    // is the cut; roots resolve lazily against it (root()).  Under
+    // kQuiescent there is no instant to resolve against later, so the
+    // roots are read here, one after another.  This and the resolves stay
+    // out of line: inlined into every query, they grew the translation
+    // units that include this header enough to change how gcc inlined
+    // the BAT update path there (5-10% on bat.* in perfbench).
+    [[gnu::noinline]] void take_epoch_cut() CBAT_REQUIRES(ebr_capability) {
+      const ShardedSet& s = *owner_;
+      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
+        // fetch_add (not a plain read): every root stamped after this
+        // point reads a counter value > epoch_, so it resolves past the
+        // cut — and every update whose response preceded this call was
+        // stamped <= epoch_, so it resolves inside it.
+        epoch_ = s.epoch_->fetch_add(1, std::memory_order_seq_cst);
+        // Null marks a root not resolved yet (root()).
+        std::fill(roots_.begin() + slo_, roots_.begin() + shi_ + 1, nullptr);
+        if constexpr (Adaptive) {
+          // Resolve the map the same way the roots are resolved: newest
+          // table whose flip was stamped at or before the cut.  Any
+          // (map@E, roots@E) pair is consistent — the owned-range
+          // restriction hides a destination's pre-flip copies and a
+          // source's post-flip leftovers on every cut.
+          map_ = s.resolve_map_epoch(s.map_.load(std::memory_order_seq_cst),
+                                     epoch_);
+        }
+      } else {
+        if constexpr (Adaptive) map_ = s.map_.load(std::memory_order_acquire);
+        for (;;) {
+          for (int i = slo_; i <= shi_; ++i) roots_[i] = cut_root(i);
+          if constexpr (Adaptive) {
+            // A quiescent cut must not pair an OLD map with roots pinned
+            // after a newer map's post-flip cleanup (the cleanup's erases
+            // would make the migrated range vanish from both shards under
+            // the old restriction).  Re-check the map after pinning: flips
+            // are rare, the loop virtually never retries, and the guard
+            // held across the whole loop rules out map-pointer ABA (a
+            // retired map cannot be freed and reallocated while we run).
+            const ShardMap* cur = s.map_.load(std::memory_order_acquire);
+            if (cur != map_) {
+              map_ = cur;
+              continue;
+            }
+          }
+          break;
+        }
+      }
+    }
+
+    // Reads shard i's root on the epoch cut.  Under kLinearizable this may
+    // run long after the fetch_add; the result is the same, because a root
+    // installed after the fetch_add is stamped after it too, and the walk
+    // steps back past it.
+    const V* cut_root(int i) const CBAT_REQUIRES(ebr_capability) {
+      if (hook_ != nullptr) hook_(hook_ctx_, i);
+      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
+        return owner_->resolve_root(i, epoch_);
+      } else {
+        return owner_->shards_[i]->root_version_unsafe();
+      }
+    }
+
+    // Memoizing resolves: one shard on first use (root()), or every
+    // unresolved shard of the cut at once for the whole-forest queries,
+    // which would otherwise pay one call per shard.
+    [[gnu::noinline]] const V* resolve(int i) const
+        CBAT_REQUIRES(ebr_capability) {
+      return roots_[i] = cut_root(i);
+    }
+    [[gnu::noinline]] void resolve_all() const CBAT_REQUIRES(ebr_capability) {
+      for (int i = slo_; i <= shi_; ++i) {
+        if (roots_[i] == nullptr) roots_[i] = cut_root(i);
+      }
+    }
+
     // Shard routing on THIS snapshot's view: the pinned map under
     // Adaptive (the live map may flip while the snapshot is open), the
     // static division otherwise.
@@ -625,20 +759,38 @@ class ShardedSet {
       }
     }
 
-    const V* root_of(Key k) const CBAT_REQUIRES(ebr_capability) {
-      return roots_[snap_shard_of(k)];
+    // Shard s's keys in [lo, hi] (clamped to its owned range under
+    // Adaptive): `count` of them, and `below` keys of the shard's tree
+    // under the slice, which is the rank offset a select inside the slice
+    // starts from.  The open ends (kMinKey / kMaxUserKey) cost no descent.
+    struct Slice {
+      std::int64_t below;
+      std::int64_t count;
+    };
+    Slice slice(int s, Key lo, Key hi) const CBAT_REQUIRES(ebr_capability) {
+      if constexpr (Adaptive) {
+        lo = std::max(lo, map_->lo_of(s));
+        hi = std::min(hi, map_->hi_of(s));
+        if (lo > hi) return {0, 0};
+      }
+      const V* r = root(s);
+      const std::int64_t below =
+          lo == kMinKey ? 0 : version_rank_less<Aug>(r, lo);
+      const std::int64_t upto =
+          hi == kMaxUserKey ? version_size<Aug>(r) : version_rank<Aug>(r, hi);
+      return {below, upto - below};
     }
 
-    // Lazy prefix-sum materialization, once per snapshot, guarded by a
-    // plain flag.  The documented contract is single-threaded use of one
-    // Snapshot (one thread constructs it, queries it, drops it; a thread
-    // that wants its own view takes its own Snapshot), so the previous
-    // std::call_once / once_flag here paid fence-and-branch machinery on
-    // every rank/select/size for a cross-thread fan-out that never
-    // happens.
+    // Lazy prefix-sum materialization, once per snapshot, guarded by the
+    // optional's engaged flag.  The documented contract is single-threaded
+    // use of one Snapshot (one thread constructs it, queries it, drops it;
+    // a thread that wants its own view takes its own Snapshot), so the
+    // previous std::call_once / once_flag here paid fence-and-branch
+    // machinery on every rank/select/size for a cross-thread fan-out that
+    // never happens.
     const std::array<std::int64_t, NumShards + 1>& prefix() const
         CBAT_REQUIRES(ebr_capability) {
-      if (prefix_ready_) return prefix_;
+      if (prefix_) return *prefix_;
       // Straight fill from the pinned roots, one aug load per shard —
       // deliberately NO stamp-keyed memoization here.  A root's epoch
       // stamp lives on the same version-node cache line as its aug field,
@@ -653,18 +805,17 @@ class ShardedSet {
       // range under the pinned map, so version_size would double-count
       // exactly them.  The restricted count is a rank descent per end
       // instead of one aug load — the adaptivity tax on rank/select.
-      prefix_[0] = 0;
+      resolve_all();
+      auto& pre = prefix_.emplace();
+      pre[0] = 0;
       for (int i = 0; i < NumShards; ++i) {
         if constexpr (Adaptive) {
-          prefix_[i + 1] =
-              prefix_[i] + version_range_count<Aug>(roots_[i], map_->lo_of(i),
-                                                    map_->hi_of(i));
+          pre[i + 1] = pre[i] + slice(i, kMinKey, kMaxUserKey).count;
         } else {
-          prefix_[i + 1] = prefix_[i] + version_size<Aug>(roots_[i]);
+          pre[i + 1] = pre[i] + version_size<Aug>(root(i));
         }
       }
-      prefix_ready_ = true;
-      return prefix_;
+      return pre;
     }
 
     // Partial range aggregate of shard s over [lo, hi], cached per shard
@@ -673,32 +824,41 @@ class ShardedSet {
     // hash together only cost each other misses, never wrong answers.
     AugValue shard_range_agg(int s, Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
+      const V* r = root(s);
       if constexpr (RPath == ReadPath::kCached) {
-        const std::uint64_t stamp =
-            version_epoch_unique<Aug>(roots_[s], *owner_->epoch_);
+        const std::uint64_t stamp = owner_->stamp(r);
         std::int64_t v;
         if (owner_->cache_.load_range(s, lo, hi, stamp, &v)) {
           ++tally_.hits;
           return v;
         }
         ++tally_.misses;
-        const AugValue fresh = version_range_aggregate<Aug>(roots_[s], lo, hi);
+        const AugValue fresh = version_range_aggregate<Aug>(r, lo, hi);
         owner_->cache_.store_range(s, lo, hi, stamp, fresh);
         return fresh;
       } else {
-        return version_range_aggregate<Aug>(roots_[s], lo, hi);
+        return version_range_aggregate<Aug>(r, lo, hi);
       }
     }
 
     EbrGuard guard_;
     const ShardedSet* owner_;
+    // The shards the cut covers: all of them for the public constructors,
+    // the query's span for the span constructor.
+    int slo_ = 0;
+    int shi_ = NumShards - 1;
+    MidAcquireHook hook_ = nullptr;
+    void* hook_ctx_ = nullptr;
     std::uint64_t epoch_ = 0;
     // The boundary table this snapshot routes and restricts by (Adaptive
     // only; null otherwise).  Pinned by guard_ like the roots.
     const ShardMap* map_ = nullptr;
-    std::array<const V*, NumShards> roots_;
-    mutable bool prefix_ready_ = false;
-    mutable std::array<std::int64_t, NumShards + 1> prefix_;
+    // Memoized roots of [slo_, shi_], written by the cut that covers them.
+    // Deliberately not value-initialized, nor is prefix_'s payload: the
+    // zeroing cost about 10 ns per one-shot query, and nothing outside the
+    // span is ever read.
+    mutable std::array<const V*, NumShards> roots_;
+    mutable std::optional<std::array<std::int64_t, NumShards + 1>> prefix_;
     // Aggregate-cache lookups made through this snapshot (kCached only),
     // flushed by the destructor: one Counters::bump per query instead of
     // one per lookup.
@@ -719,6 +879,19 @@ class ShardedSet {
     const Key s = k / width_;
     return s >= NumShards ? NumShards - 1 : static_cast<int>(s);
   }
+
+  // Test seam for the span cut's double collect: called between the two
+  // collects of every validation attempt with the attempt's index, so a
+  // test can move a root under one validation (forcing a retry) or under
+  // all kCollectAttempts of them (forcing the fallback to the epoch cut).
+  // Set it while no query runs.
+  using CollectHook = void (*)(void* ctx, int attempt);
+  void set_collect_hook(CollectHook h, void* ctx) {
+    collect_hook_ = h;
+    collect_hook_ctx_ = ctx;
+  }
+  // Validation attempts of a two-shard span cut before it falls back.
+  static constexpr int kCollectAttempts = 4;
 
   Inner& shard_at(int i) { return *shards_[i]; }
   const Inner& shard_at(int i) const { return *shards_[i]; }
@@ -783,7 +956,6 @@ class ShardedSet {
 
  private:
   Inner& shard(Key k) { return *shards_[shard_of(k)]; }
-  const Inner& shard(Key k) const { return *shards_[shard_of(k)]; }
 
   // --- the epoch-cut migration protocol (Adaptive only) --------------------
   //
@@ -1072,12 +1244,32 @@ class ShardedSet {
     mig_.gate.release();
   }
 
+  // Finalizes root r's epoch stamp in the forest's minting mode and
+  // returns it.  Every helper must mint in that mode: unique forests
+  // (kCached) may never let a load-based helper duplicate a
+  // fetch_add-minted stamp.
+  std::uint64_t stamp(const V* r) const CBAT_REQUIRES(ebr_capability) {
+    if constexpr (RPath == ReadPath::kCached) {
+      return version_epoch_unique<Aug>(r, *epoch_);
+    } else {
+      return version_epoch<Aug>(r, *epoch_);
+    }
+  }
+
+  // Shard s's current root, for a reader that uses it without an epoch
+  // cut (contains, the span cut).  Under kLinearizable it is help-stamped
+  // first, so no later epoch cut can place the root after the read.
+  const V* root_now(int s) const CBAT_REQUIRES(ebr_capability) {
+    const V* r = shards_[s]->root_version_unsafe();
+    if constexpr (Policy == SnapshotPolicy::kLinearizable) stamp(r);
+    return r;
+  }
+
   // Resolve shard s's root to the newest version stamped at or before
-  // epoch e, in the forest's stamp-minting mode.  Caller holds a guard.
+  // epoch e, in the forest's stamp-minting mode.  Caller holds a guard
+  // taken before e was drawn.
   const V* resolve_root(int s, std::uint64_t e) const
-      CBAT_REQUIRES(ebr_capability)
-    requires(Adaptive)
-  {
+      CBAT_REQUIRES(ebr_capability) {
     const V* r = shards_[s]->root_version_unsafe();
     if constexpr (RPath == ReadPath::kCached) {
       return version_resolve_epoch_unique<Aug>(r, e, *epoch_);
@@ -1348,6 +1540,8 @@ class ShardedSet {
 
   Key keyspace_ = 0;
   Key width_ = 1;
+  CollectHook collect_hook_ = nullptr;
+  void* collect_hook_ctx_ = nullptr;
   // Snapshot epoch counter.  Starts at 1 so every assigned stamp is
   // distinguishable from kEpochTbd (0).  Padded: every update's root
   // stamp loads it, every linearizable acquisition fetch_adds it.

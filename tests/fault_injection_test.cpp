@@ -414,7 +414,8 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   // error; print the union for the curious.
   const char* must_see[] = {
       "pool.alloc_fail", "ebr.retire",     "ebr.advance", "bat.refresh_build",
-      "bat.refresh_cas", "mig.copy_begin", "mig.flipped", "mig.cleaned",
+      "bat.refresh_cas", "bat.root_stamp", "mig.copy_begin", "mig.flipped",
+      "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

@@ -196,6 +196,58 @@ TEST(CrossShardLinearizability, LinearizableForestMatchesOracle) {
   }
 }
 
+// --- lazy resolve and point reads on the epoch cut ------------------------
+
+// The epoch cut is the fetch_add, not the moment a shard's root is first
+// read: an update that lands after the Snapshot is constructed, in a shard
+// no query on it has touched yet, stays invisible to every later query on
+// that snapshot, and the snapshot costs exactly one counter increment.
+TEST(CrossShardLinearizability, LazyResolveKeepsTheCut) {
+  Lin4 set(kKeyspace);
+  ASSERT_TRUE(set.insert(kKeyA));
+  ASSERT_TRUE(set.insert(2100));
+  const std::uint64_t e0 = set.current_epoch();
+  Lin4::Snapshot snap(set);
+  EXPECT_EQ(set.current_epoch(), e0 + 1);
+  EXPECT_TRUE(snap.contains(kKeyA));  // resolves shard 0 only
+  ASSERT_TRUE(set.insert(kKeyB));     // shard 3, not yet resolved
+  ASSERT_TRUE(set.erase(2100));       // shard 2, not yet resolved
+  ASSERT_TRUE(set.insert(1500));      // shard 1, not yet resolved
+  EXPECT_FALSE(snap.contains(kKeyB));
+  EXPECT_TRUE(snap.contains(2100));
+  EXPECT_EQ(snap.range_count(1000, 1999), 0);
+  EXPECT_EQ(snap.size(), 2);
+  EXPECT_EQ(snap.rank(kKeyB), 2);
+  EXPECT_EQ(set.current_epoch(), e0 + 1);
+  EXPECT_EQ(set.size(), 3);
+}
+
+// contains must help-stamp the root it reads.  The state below is the one
+// an inserter leaves between its root CAS and its stamp (the
+// "bat.root_stamp" fault site in bat_tree.h): shard 0's newest root holds
+// kKeyA but carries no stamp, and links back to a stamped root without it.
+// A point read that reports kKeyA without stamping lets the composite
+// query that starts after it stamp that root above its own epoch, walk
+// back past it and miss kKeyA — an inversion no order of the two reads and
+// the pending insert explains.  Setting the stamp back to kEpochTbd on a
+// quiet forest reproduces that state without racing the inserter.
+TEST(CrossShardLinearizability, ContainsHelpStampsTheRootItReads) {
+  Lin4 set(kKeyspace);
+  ASSERT_TRUE(set.insert(kKeyA));
+  {
+    EbrGuard g;
+    const auto* r = set.shard_at(0).root_version_unsafe();
+    ASSERT_NE(r->prev_root, nullptr);
+    ASSERT_FALSE(version_contains<SizeAug>(r->prev_root, kKeyA));
+    r->epoch.store(kEpochTbd, std::memory_order_release);
+  }
+  ASSERT_TRUE(set.contains(kKeyA));
+  const Lin4::Snapshot snap(set);
+  EXPECT_TRUE(snap.contains(kKeyA));
+  EXPECT_EQ(snap.range_count(0, kKeyspace - 1), 1);
+  EXPECT_EQ(set.rank(kKeyA), 1);
+}
+
 // --- concurrent history check (TSan-gated in CI) --------------------------
 
 // Free-running schedule: one writer applies a precomputed toggle sequence
@@ -289,11 +341,24 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
   ASSERT_GT(checked, 0u);
 }
 
+// A one-shot count over the tracked keys of shards [first, last], with
+// each writer's real-time bounds taken around the query.
+struct CountObservation {
+  int first = 0;
+  int last = 0;
+  std::int64_t done_at_inv[2] = {};
+  std::int64_t started_at_resp[2] = {};
+  std::int64_t count = 0;
+};
+
 // Two writers over *disjoint* tracked key sets (each spanning all four
 // shards, so both contend on every shard's root stamping), on the
-// linearizable forest.  Disjoint ownership keeps the check exact — each
-// writer's projection of an observation must independently match one of
-// that writer's prefixes within its own real-time bounds.
+// linearizable forest.  Disjoint ownership keeps the snapshot check exact
+// — each writer's projection of an observation must independently match
+// one of that writer's prefixes within its own real-time bounds.  The
+// reader also issues one-shot queries that take the span cut: a two-shard
+// range_aggregate and a one-shard range_count.  Each count must be the sum
+// of two in-bounds prefix counts, one per writer.
 TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
   using LinForest4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
   constexpr int kWriters = 2;
@@ -347,6 +412,7 @@ TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
   }
 
   std::vector<TrackedObservation> log[kWriters];
+  std::vector<CountObservation> counts;
   std::thread reader([&] {
     // do-while, like the single-writer test: never record zero history.
     do {
@@ -372,10 +438,53 @@ TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
         o.members = std::move(members[w]);
         log[w].push_back(std::move(o));
       }
+      for (const bool two_shards : {true, false}) {
+        CountObservation c;
+        c.first = two_shards ? 0 : 2;
+        c.last = two_shards ? 1 : 2;
+        for (int w = 0; w < kWriters; ++w) {
+          c.done_at_inv[w] = done[w].load(std::memory_order_seq_cst);
+        }
+        const Key lo = c.first * 1000;
+        const Key hi = c.last * 1000 + 999;
+        c.count = two_shards ? set.range_aggregate(lo, hi)
+                             : set.range_count(lo, hi);
+        for (int w = 0; w < kWriters; ++w) {
+          c.started_at_resp[w] = started[w].load(std::memory_order_seq_cst);
+        }
+        counts.push_back(c);
+      }
     } while (!stop.load(std::memory_order_acquire));
   });
   for (auto& t : writers) t.join();
   reader.join();
+
+  // Writer w's tracked keys in shards [first, last] after its first j ops
+  // (its i-th tracked key lives in shard i).
+  const auto in_span = [&](int w, std::int64_t j, int first, int last) {
+    const auto& st = prefix_states[static_cast<std::size_t>(w)]
+                                  [static_cast<std::size_t>(j)];
+    std::int64_t n = 0;
+    for (int i = first; i <= last; ++i) n += st[static_cast<std::size_t>(i)];
+    return n;
+  };
+  ASSERT_GT(counts.size(), 0u);
+  for (const CountObservation& c : counts) {
+    std::set<std::int64_t> reach[kWriters];
+    for (int w = 0; w < kWriters; ++w) {
+      const std::int64_t hi = std::min<std::int64_t>(c.started_at_resp[w],
+                                                     kOps);
+      for (std::int64_t j = c.done_at_inv[w]; j <= hi; ++j) {
+        reach[w].insert(in_span(w, j, c.first, c.last));
+      }
+    }
+    bool ok = false;
+    for (const std::int64_t a : reach[0]) {
+      ok = ok || reach[1].count(c.count - a) > 0;
+    }
+    ASSERT_TRUE(ok) << "count " << c.count << " over shards " << c.first
+                    << ".." << c.last;
+  }
 
   for (int w = 0; w < kWriters; ++w) {
     ASSERT_GT(log[w].size(), 0u);
@@ -399,13 +508,14 @@ TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
 using CachedLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
                               ReadPath::kCached>;
 
-// Range cache: a snapshot pins shard 0's root, an update CASes that root
-// mid-acquisition, and the snapshot then answers (correctly, on its old
-// cut) and MEMOIZES that answer under the old root's stamp — a stale
-// entry written into the cache after the root has already moved.  A
-// fresh query, whose pinned root carries the new fetch_add-minted stamp,
-// probes the same entry and must reject it: with the stamp check gone it
-// would serve the pre-update aggregate.
+// Range cache: a snapshot takes its epoch cut, an update CASes shard 0's
+// root before the snapshot resolves that shard, and the snapshot then
+// answers (correctly, on its cut, by walking back past the new root) and
+// MEMOIZES that answer under the old root's stamp — a stale entry written
+// into the cache after the root has already moved.  A fresh one-shot
+// query, which takes the span cut and so pins the new root with its own
+// fetch_add-minted stamp, probes the same entry and must reject it: with
+// the stamp check gone it would serve the pre-update aggregate.
 TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   constexpr Key kLo = 100, kHi = 900;  // inside shard 0 (width 1000)
   CachedLin4 set(kKeyspace);
@@ -413,9 +523,10 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   const std::int64_t before = 9;
   ASSERT_EQ(set.range_aggregate(kLo, kHi), before);
 
-  // Pin shard 0, then land an in-range insert before shard 1 is read.
+  // Cut first, then land an in-range insert right before the snapshot's
+  // first read of shard 0.
   const auto hook = [](void* ctx, int next_shard) {
-    if (next_shard != 1) return;
+    if (next_shard != 0) return;
     ASSERT_TRUE(static_cast<CachedLin4*>(ctx)->insert(kLo + 50));
   };
   CachedLin4::Snapshot snap(set, hook, &set);

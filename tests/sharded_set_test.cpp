@@ -410,6 +410,193 @@ TEST(ShardedSetCached, DirectForestsCountNoCacheLookups) {
   EXPECT_EQ(after[Counter::kAggCacheMisses], before[Counter::kAggCacheMisses]);
 }
 
+// --- span cuts: one-shot queries on one or two shards ----------------------
+
+using Lin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
+
+// The one-shot key-range queries and floor/ceiling on every static forest
+// flavor, against the oracle: ranges inside one shard and across two (the
+// span cut), across three or more (the epoch cut), empty and inverted
+// ones, and floor/ceiling probes whose own shard is empty (the fallback to
+// a whole-forest cut).  Shard 2 of 4 stays empty throughout.
+template <class Forest>
+void expect_span_queries_match_oracle() {
+  constexpr Key kKeyspace = 4000;  // 4 shards of width 1000
+  Forest set(kKeyspace);
+  Oracle oracle;
+  Xoshiro256 rng(77);
+  const auto floor_of = [&](Key k) -> std::optional<Key> {
+    auto it = oracle.s.upper_bound(k);
+    if (it == oracle.s.begin()) return std::nullopt;
+    return *--it;
+  };
+  const auto ceiling_of = [&](Key k) -> std::optional<Key> {
+    auto it = oracle.s.lower_bound(k);
+    if (it == oracle.s.end()) return std::nullopt;
+    return *it;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    Key k = static_cast<Key>(rng.below(kKeyspace));
+    if (k >= 2000 && k < 3000) k -= 1000;
+    if (rng.below(3) == 0) {
+      ASSERT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
+    } else {
+      ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
+    }
+    if (step % 10 != 9) continue;
+    for (int q = 0; q < 8; ++q) {
+      const Key lo = static_cast<Key>(rng.below(kKeyspace + 200)) - 100;
+      const Key hi = lo + static_cast<Key>(rng.below(q < 4 ? 1200 : 4000));
+      const std::int64_t n = oracle.range_count(lo, hi);
+      ASSERT_EQ(set.range_count(lo, hi), n) << lo << ".." << hi;
+      ASSERT_EQ(set.range_count(hi, lo), lo == hi ? n : 0);
+      ASSERT_EQ(set.range_aggregate(lo, hi), n) << lo << ".." << hi;
+      for (std::int64_t i : {std::int64_t{0}, std::int64_t{1}, n / 2, n,
+                             n + 1}) {
+        const std::optional<Key> want =
+            i >= 1 && i <= n ? oracle.select(oracle.rank(lo - 1) + i)
+                             : std::nullopt;
+        ASSERT_EQ(set.select_in_range(lo, hi, i), want)
+            << lo << ".." << hi << " #" << i;
+      }
+      ASSERT_EQ(set.floor(lo), floor_of(lo)) << lo;
+      ASSERT_EQ(set.ceiling(lo), ceiling_of(lo)) << lo;
+    }
+    for (Key p : {Key{2500}, Key{2000}, Key{2999}, Key{-5}, Key{4100}}) {
+      ASSERT_EQ(set.floor(p), floor_of(p)) << p;
+      ASSERT_EQ(set.ceiling(p), ceiling_of(p)) << p;
+    }
+  }
+}
+
+TEST(ShardedSetSpanCut, OneShotQueriesMatchOracleQuiescent) {
+  expect_span_queries_match_oracle<Sharded4>();
+}
+TEST(ShardedSetSpanCut, OneShotQueriesMatchOracleLinearizable) {
+  expect_span_queries_match_oracle<Lin4>();
+}
+TEST(ShardedSetSpanCut, OneShotQueriesMatchOracleCached) {
+  expect_span_queries_match_oracle<CachedQ4>();
+}
+TEST(ShardedSetSpanCut, OneShotQueriesMatchOracleCachedLinearizable) {
+  expect_span_queries_match_oracle<CachedLin4>();
+}
+
+// Exact counter accounting: one- and two-shard one-shot queries, and
+// floor/ceiling that hit in their own shard, take the span cut and leave
+// the epoch counter where it was; every whole-forest query advances it by
+// exactly one.  On the cached forest every root was stamped by an update
+// (with a fetch_add-minted stamp), so the readers' help-stamps mint none;
+// the insert and erase in shard 2 replace its never-stamped initial root.
+template <class Forest>
+void expect_span_cuts_leave_the_epoch_alone() {
+  Forest set(4000);
+  for (Key k = 5; k < 4000; k += 10) {
+    if (k >= 2000 && k < 3000) continue;  // shard 2 stays empty
+    ASSERT_TRUE(set.insert(k));
+  }
+  ASSERT_TRUE(set.insert(2500));
+  ASSERT_TRUE(set.erase(2500));
+  const std::uint64_t e0 = set.current_epoch();
+  EXPECT_TRUE(set.contains(105));
+  EXPECT_EQ(set.range_count(100, 900), 80);          // one shard
+  EXPECT_EQ(set.range_count(900, 1100), 20);         // two shards
+  EXPECT_EQ(set.range_aggregate(1000, 1999), 100);   // one shard
+  EXPECT_EQ(set.range_aggregate(500, 1499), 100);    // two shards
+  EXPECT_EQ(set.select_in_range(900, 1100, 11), Key{1005});
+  EXPECT_EQ(set.floor(1010), Key{1005});             // hits in its shard
+  EXPECT_EQ(set.ceiling(1003), Key{1005});
+  EXPECT_EQ(set.range_count(1900, 2100), 10);        // empty shard 2
+  EXPECT_EQ(set.current_epoch(), e0);
+
+  EXPECT_EQ(set.rank(1000), 100);
+  EXPECT_EQ(set.current_epoch(), e0 + 1);
+  EXPECT_EQ(set.range_count(500, 3500), 200);  // four shards: epoch cut
+  EXPECT_EQ(set.current_epoch(), e0 + 2);
+  EXPECT_EQ(set.floor(2500), Key{1995});       // own shard empty: fallback
+  EXPECT_EQ(set.current_epoch(), e0 + 3);
+  EXPECT_EQ(set.ceiling(2500), Key{3005});
+  EXPECT_EQ(set.current_epoch(), e0 + 4);
+  EXPECT_EQ(set.size(), 300);
+  EXPECT_EQ(set.current_epoch(), e0 + 5);
+}
+
+TEST(ShardedSetSpanCut, OneAndTwoShardQueriesLeaveTheEpochAlone) {
+  expect_span_cuts_leave_the_epoch_alone<Lin4>();
+}
+TEST(ShardedSetSpanCut, CachedOneAndTwoShardQueriesLeaveTheEpochAlone) {
+  expect_span_cuts_leave_the_epoch_alone<CachedLin4>();
+}
+
+// The double collect's validation, forced through its test seam: an update
+// lands between the two collects of the first attempt (one retry, still
+// no counter increment), or of every attempt (the span cut gives up and
+// takes the epoch cut).  Both answers must be the oracle's, and must
+// include every update the seam made, since each completed before the
+// query's final cut.
+struct CollectSeam {
+  Lin4* set = nullptr;
+  int moves = 0;  // attempts that moved a root
+  int force = 0;  // attempts to move a root on (from attempt 0)
+};
+
+void move_a_root(void* ctx, int attempt) {
+  auto* c = static_cast<CollectSeam*>(ctx);
+  if (attempt >= c->force) return;
+  // Alternate shards 0 and 1, the two the query reads.
+  const Key k = attempt % 2 == 0 ? 950 - attempt : 1050 + attempt;
+  ASSERT_TRUE(c->set->insert(k));
+  ++c->moves;
+}
+
+TEST(ShardedSetSpanCut, DoubleCollectRetriesWhenARootMoves) {
+  Lin4 set(4000);
+  for (Key k = 900; k <= 1100; k += 20) ASSERT_TRUE(set.insert(k));
+  CollectSeam seam{&set, 0, 1};
+  set.set_collect_hook(&move_a_root, &seam);
+  const auto before = Counters::snapshot();
+  const std::uint64_t e0 = set.current_epoch();
+  EXPECT_EQ(set.range_count(900, 1100), 12);
+  const auto after = Counters::snapshot();
+  EXPECT_EQ(seam.moves, 1);
+  EXPECT_EQ(set.current_epoch(), e0);
+  EXPECT_EQ(after[Counter::kShardCollectConflicts] -
+                before[Counter::kShardCollectConflicts],
+            1u);
+  EXPECT_EQ(after[Counter::kShardCollectFallbacks],
+            before[Counter::kShardCollectFallbacks]);
+  set.set_collect_hook(nullptr, nullptr);
+}
+
+TEST(ShardedSetSpanCut, DoubleCollectFallsBackToTheEpochCut) {
+  Lin4 set(4000);
+  for (Key k = 900; k <= 1100; k += 20) ASSERT_TRUE(set.insert(k));
+  CollectSeam seam{&set, 0, Lin4::kCollectAttempts};
+  set.set_collect_hook(&move_a_root, &seam);
+  const auto before = Counters::snapshot();
+  const std::uint64_t e0 = set.current_epoch();
+  EXPECT_EQ(set.range_aggregate(900, 1100), 11 + Lin4::kCollectAttempts);
+  const auto after = Counters::snapshot();
+  EXPECT_EQ(seam.moves, Lin4::kCollectAttempts);
+  EXPECT_EQ(set.current_epoch(), e0 + 1);
+  EXPECT_EQ(after[Counter::kShardCollectConflicts] -
+                before[Counter::kShardCollectConflicts],
+            std::uint64_t{Lin4::kCollectAttempts});
+  EXPECT_EQ(after[Counter::kShardCollectFallbacks] -
+                before[Counter::kShardCollectFallbacks],
+            1u);
+  set.set_collect_hook(nullptr, nullptr);
+  Oracle oracle;
+  for (Key k = 900; k <= 1100; k += 20) oracle.s.insert(k);
+  for (int a = 0; a < Lin4::kCollectAttempts; ++a) {
+    oracle.s.insert(a % 2 == 0 ? 950 - a : 1050 + a);
+  }
+  for (std::int64_t i = 1; i <= oracle.range_count(900, 1100); ++i) {
+    EXPECT_EQ(set.select_in_range(900, 1100, i),
+              oracle.select(oracle.rank(899) + i));
+  }
+}
+
 // --- adaptive rebalancing (ISSUE 7: epoch-cut key migration) --------------
 
 using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
