@@ -122,9 +122,15 @@ class BatTree {
 
   // --- queries (linearized at the read of Root.version) ------------------
 
+  // With an epoch source attached, the root read is stamped first, as in
+  // linearize_unchanged: a root installed but not yet stamped could
+  // otherwise be stamped above an epoch cut taken after this read, and
+  // that cut would walk back past a key this read reported.
   bool contains(Key k) const {
     EbrGuard g;
-    return version_contains<Aug>(root_version(), k);
+    const V* r = root_version();
+    if (epoch_source_ != nullptr) stamp_epoch(r);
+    return version_contains<Aug>(r, k);
   }
 
   std::int64_t size() const

@@ -17,9 +17,9 @@
 //
 // Consistency: each shard is a BAT, so every single-shard operation is
 // linearizable.  A `Snapshot` holds one EBR guard for its whole life and
-// memoizes every shard root it reads, so all queries through one Snapshot
-// see the same immutable forest (multi-query consistency).  It takes its
-// cut one of two ways.
+// pins the root of every shard its cut covers when it is constructed, so
+// all queries through one Snapshot see the same immutable forest
+// (multi-query consistency).  It takes its cut one of two ways.
 //
 // The epoch cut serves user-held Snapshots and the one-shot queries that
 // need the whole forest (size, rank, select, range_collect) or more than
@@ -34,13 +34,12 @@
 //     shard-root installation stamps (BatTree::set_epoch_source, vcas-
 //     style deferred timestamps as in Wei et al.'s constant-time
 //     snapshots).  The constructor fetch_adds the counter — the
-//     snapshot's linearization point.  A shard's root is resolved the
-//     first time a query on the snapshot needs it, to the newest version
-//     stamped at or before that epoch (walking the root's prev_root
-//     history backward past installations stamped after the cut), and
-//     memoized.  Every composite query on the snapshot linearizes at the
-//     fetch_add.  Updates pay one counter load plus one uncontended stamp
-//     CAS per root refresh.
+//     snapshot's linearization point — then resolves each covered shard's
+//     root to the newest version stamped at or before that epoch, walking
+//     the root's prev_root history backward past installations stamped
+//     after the cut.  Every composite query on the snapshot linearizes at
+//     the fetch_add.  Updates pay one counter load plus one uncontended
+//     stamp CAS per root refresh.
 //
 // The span cut serves one-shot range_count, range_aggregate and
 // select_in_range whose keys lie in one or two shards, and floor/ceiling
@@ -55,10 +54,10 @@
 // cut it replaces there.  Adaptive forests keep the epoch cut for every
 // query: their routing map would have to join the collect.
 //
-// Under kLinearizable, readers that use a root without a cut — contains —
-// help-stamp it as the span cut does.  An unstamped root may still be
-// stamped above a later epoch cut, which would then walk back past a key
-// contains already reported.
+// Under kLinearizable, a reader that uses a root without a cut help-stamps
+// it: the span cut here, contains and unsuccessful updates inside
+// BatTree.  An unstamped root may still be stamped above a later epoch
+// cut, which would then walk back past a key the reader already reported.
 //
 // Shard map: shard_of(k) = clamp(k / width) with width = ceil(keyspace /
 // NumShards).  The keyspace defaults to `default_keyspace()` and can be
@@ -103,6 +102,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -309,23 +309,23 @@ class ShardedSet {
 
   // --- queries -------------------------------------------------------------
 
-  // Point reads help-stamp the root they read (root_now; see the header
-  // comment).  Adaptive forests route by the current map, under the guard
-  // so the map stays live.  That is correct in every migration phase:
-  // before the flip the old map routes a migrating key to its source
-  // shard, which stays authoritative until the range is sealed and
-  // replayed; after the flip the new map routes to the destination, which
-  // the replay made identical to the source at the moment updates were
-  // still blocked — at the flip instant both routes give the same answer.
+  // A point read is one shard's contains, which help-stamps the root it
+  // reads (BatTree::contains; see the header comment).
   bool contains(Key k) const {
-    EbrGuard g;
-    int s;
     if constexpr (Adaptive) {
-      s = map_.load(std::memory_order_acquire)->shard_of(k);
+      // Route by the current map, under a guard so the map stays live.
+      // Correct in every migration phase: before the flip the old map
+      // routes a migrating key to its source shard, which stays
+      // authoritative until the range is sealed and replayed; after the
+      // flip the new map routes to the destination, which the replay made
+      // identical to the source at the moment updates were still blocked —
+      // at the flip instant both routes give the same answer.
+      EbrGuard g;
+      const ShardMap* m = map_.load(std::memory_order_acquire);
+      return shards_[m->shard_of(k)]->contains(k);
     } else {
-      s = shard_of(k);
+      return shard(k).contains(k);
     }
-    return version_contains<Aug>(root_now(s), k);
   }
 
   // All composite queries pin one Snapshot so their per-shard reads merge a
@@ -391,7 +391,7 @@ class ShardedSet {
   // queries never re-enter the EBR per shard.  Public constructors take
   // the epoch cut over every shard; the private span constructor serves
   // the one-shot key-range queries above (see the header comment for
-  // both).  Every root the snapshot reads is memoized in roots_, and the
+  // both).  The constructor pins the covered roots in roots_, and the
   // shard-size prefix sums are materialized lazily, once, on the first
   // query that needs them (rank/select/size); order-free queries such as
   // floor or range_aggregate skip the O(NumShards) size reads entirely.
@@ -403,22 +403,20 @@ class ShardedSet {
   class CBAT_SCOPED_CAPABILITY Snapshot {
    public:
     // Test-only seam: called with the shard index right before that
-    // shard's root is read — in the constructor under kQuiescent, at the
-    // first query touching the shard under kLinearizable — letting
-    // deterministic interleaving tests (tests/linearizability_test.cpp)
-    // run updates between the cut and the read.
+    // shard's root is read, letting deterministic interleaving tests
+    // (tests/linearizability_test.cpp) run updates mid-acquisition.
     using MidAcquireHook = void (*)(void* ctx, int next_shard);
 
     explicit Snapshot(const ShardedSet& s) CBAT_ACQUIRE(ebr_capability)
         : Snapshot(s, nullptr, nullptr) {}
     Snapshot(const ShardedSet& s, MidAcquireHook hook, void* hook_ctx)
         CBAT_ACQUIRE(ebr_capability)
-        : owner_(&s), hook_(hook), hook_ctx_(hook_ctx) {
+        : owner_(&s) {
       // guard: guard_ is constructed before this body runs (it is the
       // first member); TSA does not track member-subobject guards, so
       // assert the capability it already pinned.
       ebr_assert_held();
-      take_epoch_cut();
+      take_epoch_cut(hook, hook_ctx);
     }
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
@@ -615,10 +613,8 @@ class ShardedSet {
       return out;
     }
 
-    // Shard s's root on this snapshot's cut, resolved on first use.
     const V* root(int s) const CBAT_REQUIRES(ebr_capability) {
-      const V* r = roots_[s];
-      return r != nullptr ? r : resolve(s);
+      return roots_[s];
     }
 
    private:
@@ -642,7 +638,7 @@ class ShardedSet {
       if constexpr (!Adaptive) {
         if (shi_ - slo_ <= 1 && take_span_cut()) return;
       }
-      take_epoch_cut();
+      take_epoch_cut(nullptr, nullptr);
     }
 
     // The span cut (see the header comment; the linearization argument is
@@ -667,20 +663,18 @@ class ShardedSet {
           same = same && s.shards_[i]->root_version_unsafe() == roots_[i];
         }
         if (same) return true;
-        Counters::bump(Counter::kShardCollectConflicts);
       }
-      Counters::bump(Counter::kShardCollectFallbacks);
       return false;
     }
 
-    // The epoch cut over [slo_, shi_].  Under kLinearizable the fetch_add
-    // is the cut; roots resolve lazily against it (root()).  Under
-    // kQuiescent there is no instant to resolve against later, so the
-    // roots are read here, one after another.  This and the resolves stay
-    // out of line: inlined into every query, they grew the translation
-    // units that include this header enough to change how gcc inlined
-    // the BAT update path there (5-10% on bat.* in perfbench).
-    [[gnu::noinline]] void take_epoch_cut() CBAT_REQUIRES(ebr_capability) {
+    // The epoch cut over [slo_, shi_], every root read here.  Under
+    // kLinearizable the fetch_add is the cut and each root resolves
+    // against it; under kQuiescent the roots are read one after another.
+    // Kept out of line: inlined into every query, it grew the translation
+    // units that include this header enough to change how gcc inlined the
+    // BAT update path there (5-10% on bat.* in perfbench).
+    [[gnu::noinline]] void take_epoch_cut(MidAcquireHook hook, void* hook_ctx)
+        CBAT_REQUIRES(ebr_capability) {
       const ShardedSet& s = *owner_;
       if constexpr (Policy == SnapshotPolicy::kLinearizable) {
         // fetch_add (not a plain read): every root stamped after this
@@ -688,8 +682,6 @@ class ShardedSet {
         // cut — and every update whose response preceded this call was
         // stamped <= epoch_, so it resolves inside it.
         epoch_ = s.epoch_->fetch_add(1, std::memory_order_seq_cst);
-        // Null marks a root not resolved yet (root()).
-        std::fill(roots_.begin() + slo_, roots_.begin() + shi_ + 1, nullptr);
         if constexpr (Adaptive) {
           // Resolve the map the same way the roots are resolved: newest
           // table whose flip was stamped at or before the cut.  Any
@@ -699,52 +691,33 @@ class ShardedSet {
           map_ = s.resolve_map_epoch(s.map_.load(std::memory_order_seq_cst),
                                      epoch_);
         }
-      } else {
-        if constexpr (Adaptive) map_ = s.map_.load(std::memory_order_acquire);
-        for (;;) {
-          for (int i = slo_; i <= shi_; ++i) roots_[i] = cut_root(i);
-          if constexpr (Adaptive) {
-            // A quiescent cut must not pair an OLD map with roots pinned
-            // after a newer map's post-flip cleanup (the cleanup's erases
-            // would make the migrated range vanish from both shards under
-            // the old restriction).  Re-check the map after pinning: flips
-            // are rare, the loop virtually never retries, and the guard
-            // held across the whole loop rules out map-pointer ABA (a
-            // retired map cannot be freed and reallocated while we run).
-            const ShardMap* cur = s.map_.load(std::memory_order_acquire);
-            if (cur != map_) {
-              map_ = cur;
-              continue;
-            }
+      } else if constexpr (Adaptive) {
+        map_ = s.map_.load(std::memory_order_acquire);
+      }
+      for (;;) {
+        for (int i = slo_; i <= shi_; ++i) {
+          if (hook != nullptr) hook(hook_ctx, i);
+          if constexpr (Policy == SnapshotPolicy::kLinearizable) {
+            roots_[i] = s.resolve_root(i, epoch_);
+          } else {
+            roots_[i] = s.shards_[i]->root_version_unsafe();
           }
-          break;
         }
-      }
-    }
-
-    // Reads shard i's root on the epoch cut.  Under kLinearizable this may
-    // run long after the fetch_add; the result is the same, because a root
-    // installed after the fetch_add is stamped after it too, and the walk
-    // steps back past it.
-    const V* cut_root(int i) const CBAT_REQUIRES(ebr_capability) {
-      if (hook_ != nullptr) hook_(hook_ctx_, i);
-      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-        return owner_->resolve_root(i, epoch_);
-      } else {
-        return owner_->shards_[i]->root_version_unsafe();
-      }
-    }
-
-    // Memoizing resolves: one shard on first use (root()), or every
-    // unresolved shard of the cut at once for the whole-forest queries,
-    // which would otherwise pay one call per shard.
-    [[gnu::noinline]] const V* resolve(int i) const
-        CBAT_REQUIRES(ebr_capability) {
-      return roots_[i] = cut_root(i);
-    }
-    [[gnu::noinline]] void resolve_all() const CBAT_REQUIRES(ebr_capability) {
-      for (int i = slo_; i <= shi_; ++i) {
-        if (roots_[i] == nullptr) roots_[i] = cut_root(i);
+        if constexpr (Adaptive && Policy == SnapshotPolicy::kQuiescent) {
+          // A quiescent cut must not pair an OLD map with roots pinned
+          // after a newer map's post-flip cleanup (the cleanup's erases
+          // would make the migrated range vanish from both shards under
+          // the old restriction).  Re-check the map after pinning: flips
+          // are rare, the loop virtually never retries, and the guard
+          // held across the whole loop rules out map-pointer ABA (a
+          // retired map cannot be freed and reallocated while we run).
+          const ShardMap* cur = s.map_.load(std::memory_order_acquire);
+          if (cur != map_) {
+            map_ = cur;
+            continue;
+          }
+        }
+        break;
       }
     }
 
@@ -805,7 +778,8 @@ class ShardedSet {
       // range under the pinned map, so version_size would double-count
       // exactly them.  The restricted count is a rank descent per end
       // instead of one aug load — the adaptivity tax on rank/select.
-      resolve_all();
+      // Prefix sums read every shard: only a whole-forest cut has them all.
+      assert(slo_ == 0 && shi_ == NumShards - 1);
       auto& pre = prefix_.emplace();
       pre[0] = 0;
       for (int i = 0; i < NumShards; ++i) {
@@ -847,17 +821,14 @@ class ShardedSet {
     // the query's span for the span constructor.
     int slo_ = 0;
     int shi_ = NumShards - 1;
-    MidAcquireHook hook_ = nullptr;
-    void* hook_ctx_ = nullptr;
     std::uint64_t epoch_ = 0;
     // The boundary table this snapshot routes and restricts by (Adaptive
     // only; null otherwise).  Pinned by guard_ like the roots.
     const ShardMap* map_ = nullptr;
-    // Memoized roots of [slo_, shi_], written by the cut that covers them.
-    // Deliberately not value-initialized, nor is prefix_'s payload: the
-    // zeroing cost about 10 ns per one-shot query, and nothing outside the
-    // span is ever read.
-    mutable std::array<const V*, NumShards> roots_;
+    // The pinned roots of [slo_, shi_].  Deliberately not value-
+    // initialized: the zeroing cost about 10 ns per one-shot query, and
+    // no query reads a shard outside the span (prefix() asserts it).
+    std::array<const V*, NumShards> roots_;
     mutable std::optional<std::array<std::int64_t, NumShards + 1>> prefix_;
     // Aggregate-cache lookups made through this snapshot (kCached only),
     // flushed by the destructor: one Counters::bump per query instead of
@@ -956,6 +927,7 @@ class ShardedSet {
 
  private:
   Inner& shard(Key k) { return *shards_[shard_of(k)]; }
+  const Inner& shard(Key k) const { return *shards_[shard_of(k)]; }
 
   // --- the epoch-cut migration protocol (Adaptive only) --------------------
   //
@@ -1256,9 +1228,9 @@ class ShardedSet {
     }
   }
 
-  // Shard s's current root, for a reader that uses it without an epoch
-  // cut (contains, the span cut).  Under kLinearizable it is help-stamped
-  // first, so no later epoch cut can place the root after the read.
+  // Shard s's current root, for the span cut, which uses it without an
+  // epoch cut.  Under kLinearizable it is help-stamped first, so no later
+  // epoch cut can place the root after the read.
   const V* root_now(int s) const CBAT_REQUIRES(ebr_capability) {
     const V* r = shards_[s]->root_version_unsafe();
     if constexpr (Policy == SnapshotPolicy::kLinearizable) stamp(r);

@@ -43,10 +43,6 @@ enum class Counter : int {
   kShardDoubleRoutes,
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
-  // Span cuts (src/shard/sharded_set.h): double-collect validations that
-  // saw a root move, and span cuts that gave up and took the epoch cut.
-  kShardCollectConflicts,
-  kShardCollectFallbacks,
   // Robustness layer: EBR limbo bags crossing the high-water mark and
   // triggering an inline reclaim attempt.
   kEbrPressureEvents,

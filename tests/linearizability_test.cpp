@@ -90,6 +90,9 @@ TrackedObservation observe_with_mid_acquire_writes() {
     s->insert(kKeyB);
   };
   typename Set::Snapshot snap(set, hook, &set);
+  // The hook ran inside acquisition, so both inserts precede every query
+  // made through the snapshot.
+  EXPECT_TRUE(set.contains(kKeyA) && set.contains(kKeyB));
   TrackedObservation o;
   o.done_at_inv = 0;
   o.started_at_resp = 2;
@@ -196,31 +199,7 @@ TEST(CrossShardLinearizability, LinearizableForestMatchesOracle) {
   }
 }
 
-// --- lazy resolve and point reads on the epoch cut ------------------------
-
-// The epoch cut is the fetch_add, not the moment a shard's root is first
-// read: an update that lands after the Snapshot is constructed, in a shard
-// no query on it has touched yet, stays invisible to every later query on
-// that snapshot, and the snapshot costs exactly one counter increment.
-TEST(CrossShardLinearizability, LazyResolveKeepsTheCut) {
-  Lin4 set(kKeyspace);
-  ASSERT_TRUE(set.insert(kKeyA));
-  ASSERT_TRUE(set.insert(2100));
-  const std::uint64_t e0 = set.current_epoch();
-  Lin4::Snapshot snap(set);
-  EXPECT_EQ(set.current_epoch(), e0 + 1);
-  EXPECT_TRUE(snap.contains(kKeyA));  // resolves shard 0 only
-  ASSERT_TRUE(set.insert(kKeyB));     // shard 3, not yet resolved
-  ASSERT_TRUE(set.erase(2100));       // shard 2, not yet resolved
-  ASSERT_TRUE(set.insert(1500));      // shard 1, not yet resolved
-  EXPECT_FALSE(snap.contains(kKeyB));
-  EXPECT_TRUE(snap.contains(2100));
-  EXPECT_EQ(snap.range_count(1000, 1999), 0);
-  EXPECT_EQ(snap.size(), 2);
-  EXPECT_EQ(snap.rank(kKeyB), 2);
-  EXPECT_EQ(set.current_epoch(), e0 + 1);
-  EXPECT_EQ(set.size(), 3);
-}
+// --- point reads help-stamp the root they read ---------------------------
 
 // contains must help-stamp the root it reads.  The state below is the one
 // an inserter leaves between its root CAS and its stamp (the
@@ -508,14 +487,13 @@ TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
 using CachedLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
                               ReadPath::kCached>;
 
-// Range cache: a snapshot takes its epoch cut, an update CASes shard 0's
-// root before the snapshot resolves that shard, and the snapshot then
-// answers (correctly, on its cut, by walking back past the new root) and
-// MEMOIZES that answer under the old root's stamp — a stale entry written
-// into the cache after the root has already moved.  A fresh one-shot
-// query, which takes the span cut and so pins the new root with its own
-// fetch_add-minted stamp, probes the same entry and must reject it: with
-// the stamp check gone it would serve the pre-update aggregate.
+// Range cache: a snapshot pins shard 0's root, an update CASes that root
+// mid-acquisition, and the snapshot then answers (correctly, on its old
+// cut) and MEMOIZES that answer under the old root's stamp — a stale
+// entry written into the cache after the root has already moved.  A
+// fresh query, whose pinned root carries the new fetch_add-minted stamp,
+// probes the same entry and must reject it: with the stamp check gone it
+// would serve the pre-update aggregate.
 TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   constexpr Key kLo = 100, kHi = 900;  // inside shard 0 (width 1000)
   CachedLin4 set(kKeyspace);
@@ -523,10 +501,9 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   const std::int64_t before = 9;
   ASSERT_EQ(set.range_aggregate(kLo, kHi), before);
 
-  // Cut first, then land an in-range insert right before the snapshot's
-  // first read of shard 0.
+  // Pin shard 0, then land an in-range insert before shard 1 is read.
   const auto hook = [](void* ctx, int next_shard) {
-    if (next_shard != 0) return;
+    if (next_shard != 1) return;
     ASSERT_TRUE(static_cast<CachedLin4*>(ctx)->insert(kLo + 50));
   };
   CachedLin4::Snapshot snap(set, hook, &set);
